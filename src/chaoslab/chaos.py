@@ -71,7 +71,9 @@ def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
         raise ValueError("diagonal must vanish")
     _check_bits(n, max_bits, f"{n}x{n} undecoupled evaluation")
     E = full_sign_matrix(n)
-    return StepFunction1D(n=n, values=np.einsum("ki,ij,kj->k", E, b, E))
+    q = E @ b  # row k of E b, dotted with row k of E, is eps_k^T b eps_k
+    q *= E
+    return StepFunction1D(n=n, values=q.sum(axis=1))
 
 
 def decouple_identity_rhs(b, N: int, max_subsets_bits: int = 12) -> StepFunction1D:

@@ -3,8 +3,11 @@
 The sup of |sum a_ij r_i(s) r_j(t)| over the square reduces to scanning sign
 vectors of the s-axis only: for fixed signs eps the best t-signs align every
 column, giving max_eps sum_j |sum_i a_ij eps_i|.  Sign vectors are scanned as
-bitmasks (negation symmetry halves the range); for exact +-1 matrices the
-inner sums collapse to popcounts of XORed masks.
+bitmasks (negation symmetry halves the range).  For +-1 matrices the column
+sum is n - 2 popcount(eps ^ c_j) on the column's bitmask c_j; one kernel,
+``_sign_scan``, scores whole stacks of such matrices at once and serves the
++-1 sup norm, the exhaustive infimum, the exact average and the Monte-Carlo
+average.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import as_coefficient_matrix, eval_decoupled
-from .dyadic import DyadicPoint, StepFunction2D, materialize_1d, signs_from_masks, walsh
+from .dyadic import StepFunction2D, full_sign_matrix, materialize_1d, signs_from_masks
 from .errors import EnumerationCapError
 from .rearrange import Rearrangement, rearrangement
 from .spaces import marcinkiewicz_norm, phi_eps, quasinorm_phi_eps
@@ -49,9 +52,11 @@ class SearchReport:
     rng: str | None = None
 
 
-def _even_masks(n: int) -> np.ndarray:
-    """Masks of the 2^(n-1) sign vectors with first sign fixed to +1."""
-    return (np.arange(2 ** (n - 1), dtype=np.uint64)) << np.uint64(1)
+def _mask_chunks(n: int, size: int = _CHUNK):
+    """Masks of the 2^(n-1) sign vectors with first sign +1, in chunks of at most ``size``."""
+    total = 2 ** (n - 1)
+    for start in range(0, total, size):
+        yield np.arange(start, min(start + size, total), dtype=np.uint64) << np.uint64(1)
 
 
 def _column_masks(theta: np.ndarray) -> np.ndarray:
@@ -59,6 +64,45 @@ def _column_masks(theta: np.ndarray) -> np.ndarray:
     bits = (theta < 0).astype(np.uint64)
     weights = np.uint64(1) << np.arange(theta.shape[0], dtype=np.uint64)
     return bits.T @ weights
+
+
+def _bit_fields(fields: int, width: int) -> np.ndarray:
+    """All 2^(fields*width) codes split into ``fields`` masks of ``width`` bits each."""
+    codes = np.arange(2 ** (fields * width), dtype=np.uint64)
+    shifts = np.arange(fields, dtype=np.uint64) * np.uint64(width)
+    return (codes[:, None] >> shifts) & np.uint64(2**width - 1)
+
+
+def _sign_scan(cols: np.ndarray, n: int) -> np.ndarray:
+    """Decoupled sup norm of each n-row +-1 matrix in a stack of column masks.
+
+    ``cols`` is (M, m) uint64, bit i of cols[k, j] set where row i of column j
+    of matrix k is -1.  Returns, as int64, max over eps with eps_0 = +1 of
+    sum_j |n - 2 popcount(eps ^ cols[k, j])|.  Column scores accumulate into an
+    int32 (matrices x sign vectors) block of at most ``_CHUNK`` cells, laid out
+    with its longer axis innermost (sign vectors, unless n is small).
+    """
+    cols = np.ascontiguousarray(np.asarray(cols, dtype=np.uint64).T)
+    count = cols.shape[1]
+    size = min(2 ** (n - 1), _CHUNK)
+    rows = max(1, _CHUNK // size)
+    axis = 1 if size >= rows else 0  # the sign-vector axis of the block
+    best = np.zeros(count, dtype=np.int64)
+    for eps in _mask_chunks(n, size):
+        for start in range(0, count, rows):
+            block = cols[:, start : start + rows]
+            shape = (block.shape[1], eps.size) if axis else (eps.size, block.shape[1])
+            acc = np.zeros(shape, dtype=np.int32)
+            for col in block:
+                pair = (col, eps) if axis else (eps, col)
+                # n - 2 popcount lies in [-n, n], so int8 holds it for n <= 64
+                score = np.bitwise_count(np.bitwise_xor.outer(*pair)).view(np.int8)
+                score *= -2
+                score += n
+                acc += np.abs(score, out=score)
+            view = best[start : start + rows]
+            np.maximum(view, acc.max(axis=axis), out=view)
+    return best
 
 
 def sup_norm_decoupled(a, cap: int = SUP_DECOUPLED_CAP) -> float:
@@ -71,19 +115,10 @@ def sup_norm_decoupled(a, cap: int = SUP_DECOUPLED_CAP) -> float:
     n, m = a.shape
     if n > cap:
         raise EnumerationCapError(f"row dimension {n} exceeds scan cap {cap}")
-    total = 2 ** (n - 1)
-    best = 0.0
     if np.all(np.abs(a) == 1.0):
-        cols = _column_masks(a)
-        for start in range(0, total, _CHUNK):
-            eps = (np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-                   << np.uint64(1))
-            pc = np.bitwise_count(cols[None, :] ^ eps[:, None]).astype(np.int64)
-            best = max(best, float(np.abs(n - 2 * pc).sum(axis=1).max()))
-        return best
-    for start in range(0, total, _CHUNK):
-        masks = (np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-                 << np.uint64(1))
+        return float(_sign_scan(_column_masks(a)[None, :], n)[0])
+    best = 0.0
+    for masks in _mask_chunks(n):
         signs = signs_from_masks(masks, n)
         best = max(best, float(np.abs(signs @ a).sum(axis=1).max()))
     return best
@@ -97,11 +132,8 @@ def sup_norm_undecoupled(b, cap: int = SUP_UNDECOUPLED_CAP) -> float:
         raise ValueError(f"undecoupled coefficients must be square, got {n}x{m}")
     if n > cap:
         raise EnumerationCapError(f"dimension {n} exceeds scan cap {cap}")
-    total = 2 ** (n - 1)
     best = 0.0
-    for start in range(0, total, _CHUNK):
-        masks = (np.arange(start, min(start + _CHUNK, total), dtype=np.uint64)
-                 << np.uint64(1))
+    for masks in _mask_chunks(n):
         signs = signs_from_masks(masks, n)
         quad = np.einsum("ci,ci->c", signs @ b, signs)
         best = max(best, float(np.abs(quad).max()))
@@ -112,28 +144,19 @@ def walsh_sign_arrangement(k: int, cap: int = WALSH_K_CAP) -> np.ndarray:
     """Sign matrix of the first 2^k Walsh functions on the generation-k cells.
 
     Row i holds the signs on the i-th cell; the resulting arrangement keeps
-    the decoupled sup norm at or below 2^(3k/2).
+    the decoupled sup norm at or below 2^(3k/2).  Walsh function j + 1 is the
+    product of r_(b+1) over the set bits b of j, and the cell's digit b + 1 is
+    bit k-1-b of i, so entry (i, j) is (-1)^popcount(rev_k(i) & j).
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > cap:
         raise EnumerationCapError(f"k={k} exceeds cap {cap}")
-    if k == 0:
-        return np.ones((1, 1))
-    size = 2**k
-    theta = np.empty((size, size))
-    for i in range(size):
-        cell = DyadicPoint.cell(i, k)
-        for j in range(size):
-            theta[i, j] = walsh(j + 1, cell)
-    return theta
-
-
-def _phi_table(n: int) -> np.ndarray:
-    """T[x, y] = sum-free column score |n - 2 popcount(x ^ y)| on (n-1)-bit masks."""
-    x = np.arange(2 ** (n - 1), dtype=np.uint64)
-    pc = np.bitwise_count(x[:, None] ^ x[None, :]).astype(np.int64)
-    return np.abs(n - 2 * pc)
+    idx = np.arange(2**k, dtype=np.uint64)
+    rev = np.zeros_like(idx)
+    for b in range(k):
+        rev |= ((idx >> np.uint64(b)) & np.uint64(1)) << np.uint64(k - 1 - b)
+    return 1.0 - 2.0 * (np.bitwise_count(rev[:, None] & idx[None, :]) & 1)
 
 
 def exhaustive_inf(n: int, symmetric: bool = False,
@@ -151,31 +174,23 @@ def exhaustive_inf(n: int, symmetric: bool = False,
         raise EnumerationCapError(f"n={n} exceeds exhaustive cap {cap}")
     t0 = time.perf_counter()
     if not symmetric:
-        width = n - 1
-        combos = np.arange(2 ** (width * width), dtype=np.uint64)
-        table = _phi_table(n)
-        scores = np.broadcast_to(table[0], (combos.size, 2**width)).copy()
-        digit_mask = np.uint64(2**width - 1)
-        for j in range(width):
-            digits = (combos >> np.uint64(j * width)) & digit_mask
-            scores += table[digits.astype(np.int64)]
-        value = float(scores.max(axis=1).min())
-        samples = int(combos.size)
+        # column 0 is all +1 (mask 0); row 0 is +1, so inner masks shift up one bit
+        inner = _bit_fields(n - 1, n - 1) << np.uint64(1)
+        cols = np.hstack([np.zeros((inner.shape[0], 1), dtype=np.uint64), inner])
+        value = float(_sign_scan(cols, n).min())
+        samples = int(cols.shape[0])
     else:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         bits_total = len(pairs) + n
-        combos = np.arange(2**bits_total, dtype=np.uint64)
-        eps = signs_from_masks(_even_masks(n), n)  # (E, n)
+        eps = full_sign_matrix(n)[::2]  # (E, n), first sign +1
         off = np.stack([eps[:, i] * eps[:, j] for i, j in pairs], axis=1) if pairs \
             else np.zeros((eps.shape[0], 0))
-        coeff = np.empty((combos.size, bits_total))
-        for b in range(bits_total):
-            coeff[:, b] = 1.0 - 2.0 * ((combos >> np.uint64(b)) & np.uint64(1)).astype(np.float64)
+        coeff = full_sign_matrix(bits_total)
         theta_off = coeff[:, : len(pairs)]
         theta_diag = coeff[:, len(pairs):]
         quad = 2.0 * theta_off @ off.T + theta_diag.sum(axis=1, keepdims=True)
         value = float(np.abs(quad).max(axis=1).min())
-        samples = int(combos.size)
+        samples = int(coeff.shape[0])
     return SearchReport(
         n=n,
         mode="exhaustive",
@@ -193,22 +208,12 @@ def exact_average(n: int, cap: int = EXACT_AVERAGE_CAP) -> SearchReport:
     if n > cap:
         raise EnumerationCapError(f"n={n} exceeds exact-average cap {cap}")
     t0 = time.perf_counter()
-    eps = _even_masks(n)
-    col_space = np.arange(2**n, dtype=np.uint64)
-    pc = np.bitwise_count(col_space[:, None] ^ eps[None, :]).astype(np.int64)
-    table = np.abs(n - 2 * pc)  # (2^n, 2^(n-1))
-    combos = np.arange(2 ** (n * n), dtype=np.uint64)
-    scores = np.zeros((combos.size, eps.size), dtype=np.int64)
-    col_mask = np.uint64(2**n - 1)
-    for j in range(n):
-        cols = (combos >> np.uint64(j * n)) & col_mask
-        scores += table[cols.astype(np.int64)]
-    phis = scores.max(axis=1)
+    phis = _sign_scan(_bit_fields(n, n), n)
     return SearchReport(
         n=n,
         mode="exhaustive_average",
         value=float(phis.mean()),
-        samples=int(combos.size),
+        samples=int(phis.size),
         seed=0,
         elapsed=time.perf_counter() - t0,
     )
@@ -231,15 +236,7 @@ def monte_carlo_average(n: int, samples: int, seed: int,
     t0 = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(key=seed))
     cols = rng.integers(0, 2**n, size=(samples, n), dtype=np.uint64)
-    eps = _even_masks(n)
-    phis = np.empty(samples, dtype=np.float64)
-    step = max(1, _CHUNK // max(1, n * eps.size // 64))
-    for start in range(0, samples, step):
-        block = cols[start : start + step]
-        pc = np.bitwise_count(block[:, :, None] ^ eps[None, None, :]).astype(np.int64)
-        phis[start : start + block.shape[0]] = (
-            np.abs(n - 2 * pc).sum(axis=1).max(axis=1)
-        )
+    phis = _sign_scan(cols, n).astype(np.float64)
     std = float(phis.std(ddof=1)) if samples > 1 else 0.0
     return SearchReport(
         n=n,

@@ -107,10 +107,6 @@ def format_matrix_csv(a: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_to_json(a: np.ndarray) -> str:
-    return json.dumps([[float(v) for v in row] for row in a])
-
-
 def _fmt(v: float) -> str:
     if float(v).is_integer():
         return str(int(v))

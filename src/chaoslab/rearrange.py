@@ -58,19 +58,6 @@ class Rearrangement:
         k = min(k, self.values.size - 1)
         return float(self.values[k])
 
-    def integral_to(self, t: float) -> float:
-        """Integral of x* over (0, t]; piecewise linear in t."""
-        if t <= 0.0:
-            return 0.0
-        total = 0.0
-        prev = 0.0
-        for v, bound in zip(self.values, self.bounds):
-            if t <= bound:
-                return total + v * (t - prev)
-            total += v * (bound - prev)
-            prev = bound
-        return total
-
     def integral(self) -> float:
         return float(np.dot(self.values, self.masses))
 

@@ -24,13 +24,18 @@ _ORLICZ_TARGET = math.e - 1.0  # integral bound making ||chi_(0,1)|| = 1
 
 
 def lp_norm(x: StepFunction, q: float) -> float:
-    """Exact Lq norm of a step function; q = inf gives the sup norm."""
+    """Exact Lq norm of a step function; q = inf gives the sup norm.
+
+    ``max|x|`` is factored out of the powers, so no q or scale overflows or underflows.
+    """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     vals = np.abs(x.flat_values())
-    if math.isinf(q):
-        return float(vals.max())
-    return float((np.sum(vals**q) * x.atom_measure) ** (1.0 / q))
+    top = float(vals.max())
+    if math.isinf(q) or top == 0.0:
+        return top
+    vals /= top
+    return top * float(np.sum(vals**q) * x.atom_measure) ** (1.0 / q)
 
 
 def exp_moment(x: StepFunction, u: float) -> float:
@@ -148,13 +153,20 @@ def quasinorm_phi_eps(r: Rearrangement, eps: float) -> float:
 
 
 def lorentz_norm(r: Rearrangement, p: float) -> float:
-    """Lorentz norm with weight log2(2/t)^(1-p): exact Stieltjes sum over steps."""
+    """Lorentz norm with weight log2(2/t)^(1-p): exact Stieltjes sum over steps.
+
+    ``max|x*|`` is factored out of the powers, as in ``lp_norm``.
+    """
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
+    vals = np.abs(r.values)
+    top = float(vals.max())
+    if top == 0.0:
+        return 0.0
     phi_right = np.log2(2.0 / r.bounds) ** (1.0 - p)
     phi_left = np.concatenate([[0.0], phi_right[:-1]])  # phi(0+) = 0
-    total = float(np.sum(np.abs(r.values) ** p * (phi_right - phi_left)))
-    return total ** (1.0 / p)
+    total = float(np.sum((vals / top) ** p * (phi_right - phi_left)))
+    return top * total ** (1.0 / p)
 
 
 @dataclass(frozen=True)

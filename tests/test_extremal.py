@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chaoslab.chaos import eval_decoupled, eval_undecoupled
-from chaoslab.dyadic import full_sign_matrix
+from chaoslab.dyadic import DyadicPoint, full_sign_matrix, walsh
 from chaoslab.errors import EnumerationCapError
 from chaoslab.extremal import (
     exact_average,
@@ -35,6 +38,18 @@ def brute_sup_decoupled(a):
     E = full_sign_matrix(a.shape[0])
     D = full_sign_matrix(a.shape[1])
     return float(np.abs(E @ a @ D.T).max())
+
+
+def brute_sup_by_columns(a):
+    """Second oracle, cheap when columns are few: max over delta of sum_i |(A delta)_i|."""
+    D = full_sign_matrix(np.asarray(a).shape[1])
+    return float(np.abs(np.asarray(a, dtype=float) @ D.T).sum(axis=0).max())
+
+
+@st.composite
+def sign_matrices(draw, rows, cols):
+    shape = (draw(rows), draw(cols))
+    return np.where(draw(arrays(np.bool_, shape)), -1.0, 1.0)
 
 
 def brute_sup_undecoupled(b):
@@ -94,6 +109,52 @@ class TestSupNormDecoupled:
             assert abs(sup_norm_decoupled(a) - direct) <= 1e-12
 
 
+class TestSignScanKernel:
+    """Every +-1 route through the popcount kernel against GEMM oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sign_matrices(st.integers(1, 10), st.integers(1, 10)))
+    def test_sup_matches_brute(self, theta):
+        want = brute_sup_decoupled(theta)
+        assert brute_sup_by_columns(theta) == want
+        assert sup_norm_decoupled(theta) == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(sign_matrices(st.integers(18, 20), st.integers(1, 3)))
+    # a lone column peaks only at eps = +-column: here the last of 2^19 sign vectors
+    @example(np.where(np.arange(20)[:, None] > 0, -1.0, 1.0))
+    def test_sup_across_sign_chunks(self, theta):
+        # 2^17 .. 2^19 sign vectors: several kernel chunks of 2^16
+        assert sup_norm_decoupled(theta) == brute_sup_by_columns(theta)
+
+    def test_exact_average_n3(self):
+        sups = [
+            brute_sup_decoupled(
+                np.array([[1.0 - 2.0 * ((code >> (i * 3 + j)) & 1) for j in range(3)]
+                          for i in range(3)])
+            )
+            for code in range(512)
+        ]
+        rep = exact_average(3)
+        assert rep.samples == 512
+        assert rep.value == float(np.mean(sups))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_monte_carlo_matches_redrawn_stream(self, seed):
+        # documented stream: Philox keyed by seed, (samples, n) column masks,
+        # bit i of a mask set where row i of that column is -1
+        n, samples = 5, 50
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        cols = rng.integers(0, 2**n, size=(samples, n), dtype=np.uint64)
+        rows = np.arange(n, dtype=np.uint64)[None, :, None]
+        thetas = 1.0 - 2.0 * ((cols[:, None, :] >> rows) & np.uint64(1))
+        sups = np.abs(full_sign_matrix(n) @ thetas).sum(axis=2).max(axis=1)
+        rep = monte_carlo_average(n, samples, seed)
+        assert rep.value == float(sups.mean())
+        assert rep.stddev == float(sups.std(ddof=1))
+
+
 class TestSupNormUndecoupled:
     def test_all_ones_with_diagonal(self):
         assert sup_norm_undecoupled(np.ones((2, 2))) == 4.0
@@ -149,6 +210,18 @@ class TestWalshArrangement:
         for k in range(5):
             phi = sup_norm_decoupled(walsh_sign_arrangement(k))
             assert phi <= 2.0 ** (1.5 * k)
+
+    def test_closed_form_matches_dyadic_oracle(self):
+        # the first 2^k Walsh functions are constant on generation-k cells;
+        # k = 0 is read on a generation-1 cell, since a cell needs one digit
+        for k in range(6):
+            size = 2**k
+            oracle = np.array(
+                [[walsh(j + 1, DyadicPoint.cell(i, max(k, 1))) for j in range(size)]
+                 for i in range(size)],
+                dtype=float,
+            )
+            assert np.array_equal(walsh_sign_arrangement(k), oracle)
 
     def test_rows_are_orthogonal(self):
         w = walsh_sign_arrangement(3)

@@ -52,6 +52,33 @@ class TestLp:
                 assert lp_norm(x, q) <= q
             assert lp_norm(x, 1) >= 0.5
 
+    @staticmethod
+    def _bracket(x, q):
+        """max|x| * mu(|x| = max)^(1/q) <= ||x||_q <= max|x|."""
+        vals = np.abs(x.values)
+        top = float(vals.max())
+        return top * float(np.mean(vals == top)) ** (1.0 / q), top
+
+    def test_large_q_stays_finite(self):
+        # max |x| = 80 on 4 of 2^18 atoms; 80**400 alone overflows a double
+        x = eval_decoupled(np.ones((8, 10)))
+        lo, hi = self._bracket(x, 400)
+        assert hi == 80.0
+        value = lp_norm(x, 400)
+        assert math.isfinite(value)
+        assert lo <= value <= hi
+
+    def test_tiny_values_do_not_underflow(self):
+        # (9e-6)**80 underflows to 0.0
+        x = eval_decoupled(np.full((3, 3), 1e-6))
+        lo, hi = self._bracket(x, 80)
+        value = lp_norm(x, 80)
+        assert value > 0.0
+        assert lo <= value <= hi
+
+    def test_zero_function(self):
+        assert lp_norm(eval_decoupled(np.zeros((2, 2))), 3) == 0.0
+
     def test_q_below_one_rejected(self):
         with pytest.raises(ValueError):
             lp_norm(materialize_1d([1.0]), 0.5)
@@ -158,6 +185,19 @@ class TestLorentz:
     def test_homogeneity(self):
         r = rearrangement(materialize_1d([2.0]))
         assert lorentz_norm(r, 1.5) == pytest.approx(2.0, rel=1e-12)
+
+    def test_huge_scale(self):
+        # (1e200)**p overflows a double for p > 1.55; the norm is homogeneous
+        r = rearrangement(eval_decoupled(np.array([[1.0, 2.0], [-3.0, 0.5]])))
+        scaled = Rearrangement(values=1e200 * r.values, masses=r.masses)
+        for p in (1.5, 1.75, 1.9):
+            value = lorentz_norm(scaled, p)
+            assert math.isfinite(value)
+            assert value == pytest.approx(1e200 * lorentz_norm(r, p), rel=1e-12)
+
+    def test_zero_function(self):
+        r = Rearrangement(values=np.array([0.0]), masses=np.array([1.0]))
+        assert lorentz_norm(r, 1.5) == 0.0
 
     def test_p_range(self):
         with pytest.raises(ValueError):
