@@ -98,7 +98,9 @@ def decouple_identity_rhs(b, N: int, max_subsets_bits: int = 12) -> StepFunction
     for d in range(2**N):
         in_d = np.array([(d >> i) & 1 for i in range(N)], dtype=bool)
         masked = np.where(np.outer(in_d, ~in_d), a, 0.0)
-        total += np.einsum("ki,ij,kj->k", E, masked, E)
+        q = E @ masked  # as in eval_undecoupled: row k dotted with E[k]
+        q *= E
+        total += q.sum(axis=1)
     return StepFunction1D(n=N, values=2.0 ** (1 - N) * total)
 
 

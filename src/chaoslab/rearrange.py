@@ -1,10 +1,11 @@
 """Distribution functions, decreasing rearrangements, and the log-log tail measure.
 
 All step functions in this package take finitely many values on equal-weight
-atoms, so distributions and rearrangements are computed exactly by sorting.
-Values are snapped together when they differ by at most ``VALUE_SNAP`` to
-absorb floating-point noise; in-scope functions only take values that are
-small signed sums of coefficients, so genuinely distinct values never collide.
+atoms, so distributions and rearrangements are computed exactly by one sort of
+|x| and a diff of neighbouring values.  A value is snapped into a step when it
+lies within ``VALUE_SNAP`` of the step's first value, to absorb floating-point
+noise; in-scope functions only take values that are small signed sums of
+coefficients, so genuinely distinct values never collide.
 """
 
 from __future__ import annotations
@@ -96,20 +97,32 @@ class Distribution:
 
 
 def _sorted_steps(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct |values| (descending) with exact masses, snap-merged."""
-    flat = np.abs(x.flat_values())
-    order = np.argsort(flat, kind="stable")[::-1]
-    vals = flat[order]
-    values: list[float] = []
-    counts: list[int] = []
-    for v in vals:
-        if values and values[-1] - v <= VALUE_SNAP:
-            counts[-1] += 1
-        else:
-            values.append(float(v))
-            counts.append(1)
-    masses = np.array(counts, dtype=np.float64) * x.atom_measure
-    return np.array(values, dtype=np.float64), masses
+    """Distinct |values| (descending) with exact masses, snap-merged.
+
+    One in-place sort of |x|, read backwards; a step starts wherever the
+    descending values drop by more than ``VALUE_SNAP``.  Each step is anchored
+    at its first (largest) value and holds exactly the values within
+    ``VALUE_SNAP`` of that anchor, so a run of small gaps that spans more than
+    ``VALUE_SNAP`` in total is split again from its anchor.
+    """
+    vals = np.abs(x.flat_values())
+    vals.sort()
+    vals = vals[::-1]
+    starts = np.flatnonzero(vals[:-1] - vals[1:] > VALUE_SNAP) + 1
+    starts = np.concatenate([[0], starts])
+    ends = np.append(starts[1:], vals.size)
+    # anchor - v grows along a descending run, so each re-split is a searchsorted
+    for w in np.flatnonzero(vals[starts] - vals[ends - 1] > VALUE_SNAP)[::-1]:
+        cuts = []
+        k, end = int(starts[w]), int(ends[w])
+        while True:
+            k += int(np.searchsorted(vals[k] - vals[k:end], VALUE_SNAP, side="right"))
+            if k == end:
+                break
+            cuts.append(k)
+        starts = np.insert(starts, w + 1, cuts)
+    ends = np.append(starts[1:], vals.size)
+    return vals[starts], (ends - starts) * x.atom_measure
 
 
 def rearrangement(x: StepFunction) -> Rearrangement:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab.chaos import eval_decoupled, eval_undecoupled
-from chaoslab.dyadic import StepFunction1D, materialize_1d
+from chaoslab.dyadic import StepFunction1D, StepFunction2D, materialize_1d
 from chaoslab.rearrange import (
+    VALUE_SNAP,
     Rearrangement,
     distribution,
     equimeasurable,
@@ -16,6 +19,46 @@ from chaoslab.rearrange import (
 
 def single_rademacher():
     return materialize_1d([1.0])
+
+
+def anchor_merge_oracle(x):
+    """Per-atom reference for the snap merge: walk |x| in descending order; a
+    value within VALUE_SNAP of the current step's first value joins that step,
+    any other value opens a new step."""
+    flat = np.abs(x.flat_values())
+    vals = flat[np.argsort(flat, kind="stable")[::-1]]
+    values: list[float] = []
+    counts: list[int] = []
+    for v in vals:
+        if values and values[-1] - v <= VALUE_SNAP:
+            counts[-1] += 1
+        else:
+            values.append(float(v))
+            counts.append(1)
+    return np.array(values), np.array(counts, dtype=np.float64) * x.atom_measure
+
+
+@st.composite
+def snap_step_functions(draw):
+    """1D or 2D step functions whose atoms repeat values from a pool of random
+    values and of clusters chained from gaps of at most VALUE_SNAP each, so a
+    cluster can span more than VALUE_SNAP; signs are random."""
+    gaps = st.one_of(
+        st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)
+    ).map(lambda g: g * VALUE_SNAP)
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.floats(-50.0, 50.0))
+        chain = draw(st.lists(gaps, max_size=12))
+        pool.extend((start + np.cumsum([0.0, *chain])).tolist())
+    bits = draw(st.integers(0, 7))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2**bits, max_size=2**bits))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2**bits, max_size=2**bits))
+    values = np.array(picks) * np.array(signs)
+    if draw(st.booleans()):
+        return StepFunction1D(n=bits, values=values)
+    n = draw(st.integers(0, bits))
+    return StepFunction2D(n=n, m=bits - n, values=values.reshape(2**n, 2 ** (bits - n)))
 
 
 class TestDistribution:
@@ -103,6 +146,59 @@ class TestEquimeasurable:
     def test_across_generations(self):
         fine = materialize_1d([1.0, 0.0, 0.0])
         assert equimeasurable(materialize_1d([1.0]), fine)
+
+
+class TestSnapMerge:
+    """The sorted, diff-based merge against the per-atom anchor loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(snap_step_functions())
+    def test_rearrangement_matches_oracle(self, x):
+        values, masses = anchor_merge_oracle(x)
+        r = rearrangement(x)
+        assert np.array_equal(r.values, values)
+        assert np.array_equal(r.masses, masses)
+
+    @settings(max_examples=100, deadline=None)
+    @given(snap_step_functions())
+    def test_distribution_matches_oracle(self, x):
+        values, masses = anchor_merge_oracle(x)
+        d = distribution(x)
+        assert np.array_equal(d.thresholds, values[::-1])
+        above = np.concatenate([[0.0], np.cumsum(masses[:-1])])
+        assert np.array_equal(d.measure_above, above[::-1])
+        assert d.measure_above[-1] == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(snap_step_functions(), st.data())
+    def test_equimeasurable_matches_oracle(self, x, data):
+        # a relabeling with some signs flipped, then possibly one atom nudged
+        flat = x.flat_values()
+        perm = data.draw(st.permutations(range(flat.size)))
+        signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=flat.size, max_size=flat.size))
+        vals = flat[list(perm)] * np.array(signs)
+        nudge = data.draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e6]))
+        vals[0] += nudge * VALUE_SNAP
+        y = StepFunction1D(n=x.n + getattr(x, "m", 0), values=vals)
+        vx, mx = anchor_merge_oracle(x)
+        vy, my = anchor_merge_oracle(y)
+        expected = vx.size == vy.size and bool(
+            np.all(np.abs(vx - vy) <= VALUE_SNAP) and np.array_equal(mx, my)
+        )
+        assert equimeasurable(x, y) == expected
+        if nudge == 0.0:
+            assert expected
+
+    def test_wide_chain_is_split_from_its_anchor(self):
+        # 40 values 4e-13 apart span 1.6e-11: every gap is within VALUE_SNAP,
+        # but each step may hold only the values within VALUE_SNAP of its first
+        chain = 1.0 + 4e-13 * np.arange(40)
+        x = StepFunction1D(n=6, values=np.concatenate([chain, -2.0 - np.arange(24)]))
+        values, masses = anchor_merge_oracle(x)
+        r = rearrangement(x)
+        assert np.array_equal(r.values, values)
+        assert np.array_equal(r.masses, masses)
+        assert r.values.size == 24 + 14  # the chain splits into steps of 3, 3, ..., 1
 
 
 class TestLogTailMeasure:

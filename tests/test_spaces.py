@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaoslab.chaos import eval_decoupled
 from chaoslab.dyadic import StepFunction1D, materialize_1d
@@ -30,6 +33,21 @@ def char_rearrangement(t):
 def flipped_block(width):
     """All-ones decoupled block on `width` indices per axis."""
     return eval_decoupled(np.ones((width, width)))
+
+
+@st.composite
+def tied_step_functions(draw):
+    """Step functions on up to 2^7 atoms whose values repeat from a small pool."""
+    bits = draw(st.integers(0, 7))
+    pool = draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=2**bits))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=2**bits, max_size=2**bits))
+    return StepFunction1D(n=bits, values=np.array(picks))
+
+
+# concave and positive on (0, 1]: the contract of marcinkiewicz_norm
+CONCAVE_WEIGHTS = st.one_of(
+    st.floats(0.01, 0.49).map(phi_eps), st.just(lambda t: np.asarray(t, dtype=np.float64))
+)
 
 
 class TestLp:
@@ -150,6 +168,50 @@ class TestMarcinkiewicz:
             marc = marcinkiewicz_norm(r, phi_eps(0.3))
             quasi = quasinorm_phi_eps(r, 0.3)
             assert marc >= quasi * (1.0 - 1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_step_functions(), CONCAVE_WEIGHTS)
+    def test_equals_max_over_atom_boundaries(self, x, phi):
+        # F from per-atom sorted values at every atom boundary j * 2^-n; the
+        # boundaries inside a step cannot beat the step's endpoints
+        vals = np.sort(np.abs(x.values))[::-1]
+        t = np.arange(1, vals.size + 1) * x.atom_measure
+        expected = float(np.max(np.cumsum(vals) * x.atom_measure / phi(t)))
+        value = marcinkiewicz_norm(rearrangement(x), phi)
+        assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=50, deadline=None)
+    @given(tied_step_functions(), CONCAVE_WEIGHTS)
+    def test_dominates_dense_grid_inside_steps(self, x, phi):
+        r = rearrangement(x)
+        knots_t = np.concatenate([[0.0], r.bounds])
+        knots_f = np.concatenate([[0.0], np.cumsum(r.values * r.masses)])
+        grid = np.concatenate(
+            [np.geomspace(lo if lo > 0.0 else hi * 1e-12, hi, 256) for lo, hi in zip(knots_t, knots_t[1:])]
+        )
+        ratios = np.interp(grid, knots_t, knots_f) / phi(grid)
+        assert marcinkiewicz_norm(r, phi) >= float(ratios.max()) * (1.0 - 1e-12)
+
+    def test_nonpositive_weight_at_breakpoint_rejected(self):
+        r = Rearrangement(values=np.array([2.0, 1.0]), masses=np.array([0.25, 0.75]))
+        with pytest.raises(ValueError):
+            marcinkiewicz_norm(r, lambda t: np.where(t < 1.0, t, 0.0))  # phi(1) = 0
+        with pytest.raises(ValueError):
+            marcinkiewicz_norm(r, lambda t: t - 0.5)  # phi(1/4) < 0
+
+    def test_peak_memory_is_a_few_arrays_per_step(self):
+        steps = 2**14
+        r = Rearrangement(
+            values=np.linspace(2.0, 1.0, steps), masses=np.full(steps, 1.0 / steps)
+        )
+        phi = phi_eps(0.25)
+        tracemalloc.start()
+        try:
+            marcinkiewicz_norm(r, phi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * steps * 8
 
 
 class TestQuasinorm:
