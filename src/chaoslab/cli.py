@@ -10,6 +10,7 @@ so re-running an identical command re-emits byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -163,16 +164,7 @@ def _suite_json(cfg: RunConfig, results: list[SuiteResult]) -> str:
                 "suite": res.suite,
                 "passed": res.passed,
                 "wall_time": res.wall_time,
-                "checks": [
-                    {
-                        "id": c.id,
-                        "status": c.status,
-                        "value": c.value,
-                        "bound": c.bound,
-                        "tol": c.tol,
-                    }
-                    for c in res.checks
-                ],
+                "checks": [dataclasses.asdict(c) for c in res.checks],
             }
             for res in results
         ],
@@ -206,23 +198,15 @@ def _scaling_rows(cfg: RunConfig, ns: list[int], samples: int) -> list[dict]:
     rows = []
     for n in ns:
         if 2 ** (n * n) <= samples and n <= extremal.EXACT_AVERAGE_CAP:
-            rep = extremal.exact_average(n)
-            rows.append(_report_row(rep))
+            rows.append(_report_row(extremal.exact_average(n)))
         elif n <= extremal.MONTE_CARLO_CAP:
-            rep = extremal.monte_carlo_average(n, samples, cfg.seed)
-            rows.append(_report_row(rep))
+            rows.append(_report_row(extremal.monte_carlo_average(n, samples, cfg.seed)))
         else:
-            rows.append(
-                {"n": n, "mode": "monte_carlo", "value": None, "ratio": None,
-                 "samples": 0, "seed": cfg.seed, "elapsed_ms": 0.0, "status": "skip"}
-            )
+            rows.append(_skip_row(n, "monte_carlo", cfg.seed))
         if n <= extremal.EXHAUSTIVE_CAP:
             rows.append(_report_row(extremal.exhaustive_inf(n)))
         else:
-            rows.append(
-                {"n": n, "mode": "exhaustive", "value": None, "ratio": None,
-                 "samples": 0, "seed": 0, "elapsed_ms": 0.0, "status": "skip"}
-            )
+            rows.append(_skip_row(n, "exhaustive", 0))
         k = n.bit_length() - 1
         if n == 2**k:
             if k <= extremal.SIDON_K_CAP:
@@ -234,11 +218,13 @@ def _scaling_rows(cfg: RunConfig, ns: list[int], samples: int) -> list[dict]:
                      "elapsed_ms": (time.perf_counter() - t0) * 1000.0, "status": "ok"}
                 )
             else:
-                rows.append(
-                    {"n": n, "mode": "walsh", "value": None, "ratio": None,
-                     "samples": 0, "seed": 0, "elapsed_ms": 0.0, "status": "skip"}
-                )
+                rows.append(_skip_row(n, "walsh", 0))
     return rows
+
+
+def _skip_row(n: int, mode: str, seed: int) -> dict:
+    return {"n": n, "mode": mode, "value": None, "ratio": None,
+            "samples": 0, "seed": seed, "elapsed_ms": 0.0, "status": "skip"}
 
 
 def _report_row(rep: extremal.SearchReport) -> dict:

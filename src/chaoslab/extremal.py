@@ -2,12 +2,13 @@
 
 The sup of |sum a_ij r_i(s) r_j(t)| over the square reduces to scanning sign
 vectors of the s-axis only: for fixed signs eps the best t-signs align every
-column, giving max_eps sum_j |sum_i a_ij eps_i|.  Sign vectors are scanned as
-bitmasks (negation symmetry halves the range).  For +-1 matrices the column
-sum is n - 2 popcount(eps ^ c_j) on the column's bitmask c_j; one kernel,
-``_sign_scan``, scores whole stacks of such matrices at once and serves the
-+-1 sup norm, the exhaustive infimum, the exact average and the Monte-Carlo
-average.
+column, giving max_eps sum_j |sum_i a_ij eps_i| (negation symmetry pins
+eps_0 = +1).  For +-1 matrices the column sum is n - 2 popcount(eps ^ c_j) on
+the column's bitmask c_j; one kernel, ``_sign_scan``, scores whole stacks of
+such matrices at once and serves the +-1 sup norm, the exhaustive infimum, the
+exact average and the Monte-Carlo average.  Real matrices meet in the middle:
+eps splits into two halves whose contributions are tabulated once (2^ceil(n/2)
+rows at most) and combined pair by pair.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import as_coefficient_matrix, eval_decoupled
-from .dyadic import StepFunction2D, full_sign_matrix, materialize_1d, signs_from_masks
+from .dyadic import StepFunction2D, full_sign_matrix, materialize_1d
 from .errors import EnumerationCapError
 from .rearrange import Rearrangement, rearrangement
 from .spaces import marcinkiewicz_norm, phi_eps, quasinorm_phi_eps
@@ -53,7 +54,7 @@ class SearchReport:
 
 
 def _mask_chunks(n: int, size: int = _CHUNK):
-    """Masks of the 2^(n-1) sign vectors with first sign +1, in chunks of at most ``size``."""
+    """Masks of the 2^(n-1) sign vectors with eps_0 = +1 for ``_sign_scan``, ``size`` at a time."""
     total = 2 ** (n - 1)
     for start in range(0, total, size):
         yield np.arange(start, min(start + size, total), dtype=np.uint64) << np.uint64(1)
@@ -109,7 +110,9 @@ def sup_norm_decoupled(a, cap: int = SUP_DECOUPLED_CAP) -> float:
     """Exact sup norm of the decoupled chaos polynomial with coefficients ``a``.
 
     Scans 2^(n-1) sign vectors of the row axis; +-1 matrices go through the
-    popcount kernel, general real matrices through chunked matrix products.
+    popcount kernel.  Real matrices meet in the middle: eps = (l, h) over the
+    two row halves has column sums L[l] + H[h], and sum_j |L[l, j] + H[h, j]|
+    accumulates column by column over blocks of at most ``_CHUNK`` pairs.
     """
     a = as_coefficient_matrix(a)
     n, m = a.shape
@@ -117,26 +120,48 @@ def sup_norm_decoupled(a, cap: int = SUP_DECOUPLED_CAP) -> float:
         raise EnumerationCapError(f"row dimension {n} exceeds scan cap {cap}")
     if np.all(np.abs(a) == 1.0):
         return float(_sign_scan(_column_masks(a)[None, :], n)[0])
+    h = max(1, n // 2)
+    # column-major, so each table column is contiguous; for n = 1, H is one zero row
+    low = np.asfortranarray(full_sign_matrix(h)[::2] @ a[:h])
+    high = np.asfortranarray(full_sign_matrix(n - h) @ a[h:])
+    rows = max(1, _CHUNK // high.shape[0])
     best = 0.0
-    for masks in _mask_chunks(n):
-        signs = signs_from_masks(masks, n)
-        best = max(best, float(np.abs(signs @ a).sum(axis=1).max()))
+    for start in range(0, low.shape[0], rows):
+        block = low[start : start + rows]
+        acc = np.zeros((block.shape[0], high.shape[0]))
+        tmp = np.empty_like(acc)
+        for j in range(m):
+            acc += np.abs(np.add.outer(block[:, j], high[:, j], out=tmp), out=tmp)
+        best = max(best, float(acc.max()))
     return best
 
 
 def sup_norm_undecoupled(b, cap: int = SUP_UNDECOUPLED_CAP) -> float:
-    """Exact sup norm of sum b_ij r_i(t) r_j(t) (diagonal included, as a quadratic form)."""
+    """Exact sup norm of sum b_ij r_i(t) r_j(t) (diagonal included, as a quadratic form).
+
+    Meets in the middle: for eps = (u, w), eps^T B eps = u^T B11 u + w^T B22 w
+    + u (B12 + B21^T) w, so the half forms are vectors and the cross term is
+    one matrix product per block of at most ``_CHUNK`` pairs (u_0 = +1, as
+    the form is even).
+    """
     b = as_coefficient_matrix(b)
     n, m = b.shape
     if n != m:
         raise ValueError(f"undecoupled coefficients must be square, got {n}x{m}")
     if n > cap:
         raise EnumerationCapError(f"dimension {n} exceeds scan cap {cap}")
+    h = max(1, n // 2)
+    u, w = full_sign_matrix(h)[::2], full_sign_matrix(n - h)
+    qu = ((u @ b[:h, :h]) * u).sum(axis=1)
+    qw = ((w @ b[h:, h:]) * w).sum(axis=1)
+    cross = u @ (b[:h, h:] + b[h:, :h].T)
+    rows = max(1, _CHUNK // w.shape[0])
     best = 0.0
-    for masks in _mask_chunks(n):
-        signs = signs_from_masks(masks, n)
-        quad = np.einsum("ci,ci->c", signs @ b, signs)
-        best = max(best, float(np.abs(quad).max()))
+    for start in range(0, u.shape[0], rows):
+        quad = cross[start : start + rows] @ w.T
+        quad += qu[start : start + rows, None]
+        quad += qw
+        best = max(best, float(np.abs(quad, out=quad).max()))
     return best
 
 
@@ -180,14 +205,12 @@ def exhaustive_inf(n: int, symmetric: bool = False,
         value = float(_sign_scan(cols, n).min())
         samples = int(cols.shape[0])
     else:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        bits_total = len(pairs) + n
+        i, j = np.triu_indices(n, 1)
         eps = full_sign_matrix(n)[::2]  # (E, n), first sign +1
-        off = np.stack([eps[:, i] * eps[:, j] for i, j in pairs], axis=1) if pairs \
-            else np.zeros((eps.shape[0], 0))
-        coeff = full_sign_matrix(bits_total)
-        theta_off = coeff[:, : len(pairs)]
-        theta_diag = coeff[:, len(pairs):]
+        off = eps[:, i] * eps[:, j]
+        coeff = full_sign_matrix(i.size + n)
+        theta_off = coeff[:, : i.size]
+        theta_diag = coeff[:, i.size:]
         quad = 2.0 * theta_off @ off.T + theta_diag.sum(axis=1, keepdims=True)
         value = float(np.abs(quad).max(axis=1).min())
         samples = int(coeff.shape[0])

@@ -71,10 +71,12 @@ def orlicz_exp_norm(r: Rearrangement, rel_tol: float = 1e-10) -> float:
 
     vals = r.values
     masses = r.masses
+    buf = np.empty(vals.shape)  # one buffer for every evaluation of the integral
 
     def integral(u: float) -> float:
         with np.errstate(over="ignore"):
-            return float(np.sum(masses * np.expm1(vals / u)))
+            np.expm1(np.divide(vals, u, out=buf), out=buf)
+            return float(np.sum(np.multiply(masses, buf, out=buf)))
 
     hi = vmax / math.log(2.0)
     while integral(hi) > _ORLICZ_TARGET:

@@ -26,19 +26,6 @@ from .rearrange import (
     rearrangement,
 )
 
-SUITE_NAMES = (
-    "khinchin",
-    "decoupling",
-    "lemma2",
-    "lemma3",
-    "theorem5",
-    "proposition",
-    "theorem6",
-    "theorem7",
-    "orlicz",
-    "clt",
-)
-
 
 @dataclass(frozen=True)
 class Check:
@@ -378,6 +365,7 @@ _SUITES = {
     "orlicz": suite_orlicz,
     "clt": suite_clt,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cfg: RunConfig) -> list[SuiteResult]:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from chaoslab.chaos import eval_decoupled, eval_undecoupled
 from chaoslab.dyadic import DyadicPoint, full_sign_matrix, walsh
+from chaoslab import extremal
 from chaoslab.errors import EnumerationCapError
 from chaoslab.extremal import (
     exact_average,
@@ -153,6 +156,93 @@ class TestSignScanKernel:
         rep = monte_carlo_average(n, samples, seed)
         assert rep.value == float(sups.mean())
         assert rep.stddev == float(sups.std(ddof=1))
+
+
+@st.composite
+def scan_inputs(draw, rows, cols):
+    """(matrix, exact): Gaussian, small-integer or +-1 entries; the last two are exact."""
+    shape = (draw(rows), draw(cols))
+    kind = draw(st.sampled_from(["gauss", "int", "pm1"]))
+    if kind == "gauss":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.standard_normal(shape) * draw(st.sampled_from([1e-3, 1.0, 1e3])), False
+    if kind == "int":
+        return draw(arrays(np.int64, shape, elements=st.integers(-3, 3))).astype(float), True
+    return draw(sign_matrices(st.just(shape[0]), st.just(shape[1]))), True
+
+
+def assert_scan_matches(got, want, exact):
+    if exact:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12 * want
+
+
+def split_block_count(rows_lo, rows_hi):
+    """Blocks of at most _CHUNK (low row, high row) pairs that a split scan runs."""
+    return -(-rows_lo // max(1, extremal._CHUNK // rows_hi))
+
+
+class TestSplitScans:
+    """Meet-in-the-middle scans of real matrices against the brute oracles."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_inputs(st.integers(1, 9), st.integers(1, 9)))
+    @example((np.array([[2.5, -1.0, 0.5]]), False))  # n = 1: the high half is one zero row
+    @example((np.array([[3.0], [-1.0], [2.0], [0.0], [1.0]]), True))  # odd n, m = 1
+    def test_decoupled_matches_brute(self, case):
+        a, exact = case
+        assert_scan_matches(sup_norm_decoupled(a), brute_sup_decoupled(a), exact)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: scan_inputs(st.just(n), st.just(n))))
+    @example((np.array([[-1.5]]), False))
+    # non-zero diagonal, no symmetry: each cross pair enters once, as b_ij + b_ji
+    @example((np.array([[2.0, 1.0, 0.0], [-3.0, -1.0, 2.0], [1.0, 0.0, 1.0]]), True))
+    def test_undecoupled_matches_brute(self, case):
+        b, exact = case
+        assert_scan_matches(sup_norm_undecoupled(b), brute_sup_undecoupled(b), exact)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scan_inputs(st.integers(2, 8), st.integers(1, 6)), st.integers(1, 9))
+    def test_small_blocks_cover_every_pair(self, case, chunk):
+        # a tiny block size splits even small scans into many uneven blocks
+        a, exact = case
+        k = min(a.shape)
+        square = a[:k, :k]
+        with mock.patch.object(extremal, "_CHUNK", chunk):
+            dec = sup_norm_decoupled(a)
+            und = sup_norm_undecoupled(square)
+        assert_scan_matches(dec, brute_sup_decoupled(a), exact)
+        assert_scan_matches(und, brute_sup_undecoupled(square), exact)
+
+    def test_decoupled_spans_several_blocks(self):
+        rng = np.random.Generator(np.random.Philox(key=50))
+        a = rng.standard_normal((19, 2))
+        assert split_block_count(2**8, 2**10) >= 2
+        assert_scan_matches(sup_norm_decoupled(a), brute_sup_by_columns(a), False)
+        ints = rng.integers(-4, 5, size=(19, 3)).astype(float)
+        assert sup_norm_decoupled(ints) == brute_sup_by_columns(ints)
+
+    def test_undecoupled_spans_several_blocks(self):
+        rng = np.random.Generator(np.random.Philox(key=51))
+        b = rng.standard_normal((18, 18))
+        assert split_block_count(2**8, 2**9) >= 2
+        assert_scan_matches(sup_norm_undecoupled(b), brute_sup_undecoupled(b), False)
+        ints = rng.integers(-2, 3, size=(18, 18)).astype(float)
+        assert sup_norm_undecoupled(ints) == brute_sup_undecoupled(ints)
+
+    @pytest.mark.parametrize("scan", [sup_norm_decoupled, sup_norm_undecoupled])
+    def test_peak_memory_at_22(self, scan):
+        # the split tables and one block stay near 2 MiB; a full 2^21-row sign table is 45 MiB
+        a = np.random.Generator(np.random.Philox(key=52)).standard_normal((22, 22))
+        tracemalloc.start()
+        try:
+            scan(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestSupNormUndecoupled:
