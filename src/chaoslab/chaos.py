@@ -2,6 +2,7 @@
 
 Coefficient and sign matrices are plain float arrays; validators below enforce
 the contracts (finite entries, exact +-1 signs, zero diagonal where required).
+The undecoupled chaos is built by doubling (``dyadic.quadratic_form``), no sign table.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .dyadic import (
     StepFunction1D,
     StepFunction2D,
     full_sign_matrix,
+    quadratic_form,
 )
 from .errors import EnumerationCapError
 
@@ -70,18 +72,15 @@ def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
     if np.any(np.diagonal(b) != 0.0):
         raise ValueError("diagonal must vanish")
     _check_bits(n, max_bits, f"{n}x{n} undecoupled evaluation")
-    E = full_sign_matrix(n)
-    q = E @ b  # row k of E b, dotted with row k of E, is eps_k^T b eps_k
-    q *= E
-    return StepFunction1D(n=n, values=q.sum(axis=1))
+    return StepFunction1D(n=n, values=quadratic_form(b))
 
 
 def decouple_identity_rhs(b, N: int, max_subsets_bits: int = 12) -> StepFunction1D:
     """Subset average that reconstructs the undecoupled polynomial.
 
-    Averages, over all 2^N subsets D of {1..N}, the polynomial with
-    coefficients (b_ij + b_ji) restricted to rows in D and columns outside D,
-    scaled by 2^(1-N).  Equals eval_undecoupled(b) exactly.
+    Sums, over the 2^N subsets D of {1..N}, the polynomial with coefficients (b_ij + b_ji)
+    on rows in D and columns outside D, times 2^(1-N); D and its complement give one form,
+    counted twice.  Equals eval_undecoupled(b) in exact arithmetic, bit for bit on integers.
     """
     b = as_coefficient_matrix(b)
     if b.shape != (N, N):
@@ -93,15 +92,11 @@ def decouple_identity_rhs(b, N: int, max_subsets_bits: int = 12) -> StepFunction
             f"enumeration too large: 2^{N} subsets exceeds cap 2^{max_subsets_bits}"
         )
     a = b + b.T
-    E = full_sign_matrix(N)
     total = np.zeros(2**N, dtype=np.float64)
-    for d in range(2**N):
-        in_d = np.array([(d >> i) & 1 for i in range(N)], dtype=bool)
-        masked = np.where(np.outer(in_d, ~in_d), a, 0.0)
-        q = E @ masked  # as in eval_undecoupled: row k dotted with E[k]
-        q *= E
-        total += q.sum(axis=1)
-    return StepFunction1D(n=N, values=2.0 ** (1 - N) * total)
+    for d in range(2 ** (N - 1)):  # the subsets without N; complements transpose the form
+        in_d = ((d >> np.arange(N)) & 1).astype(bool)
+        total += quadratic_form(np.where(np.outer(in_d, ~in_d), a, 0.0))
+    return StepFunction1D(n=N, values=2.0 ** (2 - N) * total)
 
 
 def apply_signs(a, theta) -> np.ndarray:

@@ -9,8 +9,8 @@ The k-th Rademacher function equals ``+1`` on cells whose k-th digit is 0 and
 ``-1`` otherwise.  Polynomials in ``r_1 .. r_n`` are stored densely, indexed
 by a sign-vector bitmask: bit ``i-1`` of the mask holds the i-th digit, so a
 set bit means ``r_i = -1`` there.  All atoms of a generation carry equal
-weight, hence masks can be enumerated in any order without touching the
-distribution.
+weight, hence masks can be enumerated in any order without touching the distribution.
+``linear_forms`` and ``quadratic_form`` tabulate eps^T c and eps^T b eps by doubling.
 """
 
 from __future__ import annotations
@@ -129,6 +129,37 @@ def full_sign_matrix(n: int) -> np.ndarray:
     return signs_from_masks(np.arange(2**n, dtype=np.uint64), n)
 
 
+def linear_forms(c) -> np.ndarray:
+    """``full_sign_matrix(n) @ c`` for c of shape (n, ...), by doubling: O(2^n) per column."""
+    c = np.asarray(c, dtype=np.float64)
+    out = np.zeros((2 ** c.shape[0],) + c.shape[1:])
+    for j, cj in enumerate(c):
+        size = 1 << j
+        np.subtract(out[:size], cj, out=out[size : 2 * size])
+        out[:size] += cj
+    return out
+
+
+def quadratic_form(b) -> np.ndarray:
+    """eps^T b eps for every mask of a square b, by doubling in O(2^n) from trace(b).
+
+    Variable j adds eps_j L_j, L_j = sum_{i<j} (b_ij + b_ji) eps_i; row k of ``forms``
+    holds L_k over the masks so far.  Negated masks agree bit for bit.
+    """
+    s = b + b.T
+    out, forms = np.empty(2 ** s.shape[0]), np.zeros((s.shape[0], 1))
+    out[0] = np.trace(b)
+    for j, row in enumerate(s):
+        size = 1 << j
+        np.subtract(out[:size], forms[0], out=out[size : 2 * size])
+        out[:size] += forms[0]
+        grown = np.empty((forms.shape[0] - 1, 2 * size))
+        np.add(forms[1:], row[j + 1 :, None], out=grown[:, :size])
+        np.subtract(forms[1:], row[j + 1 :, None], out=grown[:, size:])
+        forms = grown
+    return out
+
+
 def point_to_mask(p: DyadicPoint) -> int:
     """Bitmask of the sign vector realized on the cell ``p``."""
     mask = 0
@@ -192,17 +223,12 @@ def materialize_1d(coeffs, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
     """Step function of the linear polynomial sum(c_i * r_i) over all sign vectors.
 
     Exact: the value at mask m is the signed sum of the coefficients, built by
-    one doubling pass per coefficient.
+    one doubling pass per coefficient (``linear_forms``).
     """
     c = np.asarray(coeffs, dtype=np.float64).reshape(-1)
     n = c.size
     if n < 1:
         raise ValueError("need at least one coefficient")
     if n > max_bits:
-        raise EnumerationCapError(
-            f"enumeration too large: {n} bits exceeds cap {max_bits}"
-        )
-    vals = np.zeros(1, dtype=np.float64)
-    for ci in c:
-        vals = np.concatenate([vals + ci, vals - ci])
-    return StepFunction1D(n=n, values=vals)
+        raise EnumerationCapError(f"enumeration too large: {n} bits exceeds cap {max_bits}")
+    return StepFunction1D(n=n, values=linear_forms(c))

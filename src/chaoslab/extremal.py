@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import as_coefficient_matrix, eval_decoupled
-from .dyadic import StepFunction2D, full_sign_matrix, materialize_1d
+from .dyadic import StepFunction2D, full_sign_matrix, linear_forms, materialize_1d, quadratic_form
 from .errors import EnumerationCapError
 from .rearrange import Rearrangement, rearrangement
 from .spaces import marcinkiewicz_norm, phi_eps, quasinorm_phi_eps
@@ -122,8 +122,8 @@ def sup_norm_decoupled(a, cap: int = SUP_DECOUPLED_CAP) -> float:
         return float(_sign_scan(_column_masks(a)[None, :], n)[0])
     h = max(1, n // 2)
     # column-major, so each table column is contiguous; for n = 1, H is one zero row
-    low = np.asfortranarray(full_sign_matrix(h)[::2] @ a[:h])
-    high = np.asfortranarray(full_sign_matrix(n - h) @ a[h:])
+    low = np.asfortranarray(linear_forms(a[:h])[::2])
+    high = np.asfortranarray(linear_forms(a[h:]))
     rows = max(1, _CHUNK // high.shape[0])
     best = 0.0
     for start in range(0, low.shape[0], rows):
@@ -151,13 +151,13 @@ def sup_norm_undecoupled(b, cap: int = SUP_UNDECOUPLED_CAP) -> float:
     if n > cap:
         raise EnumerationCapError(f"dimension {n} exceeds scan cap {cap}")
     h = max(1, n // 2)
-    u, w = full_sign_matrix(h)[::2], full_sign_matrix(n - h)
-    qu = ((u @ b[:h, :h]) * u).sum(axis=1)
-    qw = ((w @ b[h:, h:]) * w).sum(axis=1)
-    cross = u @ (b[:h, h:] + b[h:, :h].T)
+    w = full_sign_matrix(n - h)  # the GEMM's right factor
+    qu = quadratic_form(b[:h, :h])[::2]
+    qw = quadratic_form(b[h:, h:])
+    cross = linear_forms(b[:h, h:] + b[h:, :h].T)[::2]
     rows = max(1, _CHUNK // w.shape[0])
     best = 0.0
-    for start in range(0, u.shape[0], rows):
+    for start in range(0, qu.size, rows):
         quad = cross[start : start + rows] @ w.T
         quad += qu[start : start + rows, None]
         quad += qw

@@ -59,9 +59,9 @@ def exp_moment(x: StepFunction, u: float) -> float:
 def orlicz_exp_norm(r: Rearrangement, rel_tol: float = 1e-10) -> float:
     """Luxemburg norm for the exponential Orlicz function, by bisection.
 
-    Solves inf{u > 0 : sum m_k (exp(v_k/u) - 1) <= e - 1}; the integral is
-    strictly decreasing in u, so bracketing plus bisection is exact up to the
-    requested relative tolerance.  The zero function has norm 0 by convention.
+    Solves inf{u > 0 : sum m_k (exp(v_k/u) - 1) <= e - 1}, strictly decreasing in u, by
+    bisection on the law scaled by the exact 2^-e that puts max|x| in [1/2, 1), so any
+    finite scale works.  The zero function has norm 0 by convention.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -69,7 +69,8 @@ def orlicz_exp_norm(r: Rearrangement, rel_tol: float = 1e-10) -> float:
     if vmax == 0.0:
         return 0.0
 
-    vals = r.values
+    e = math.frexp(vmax)[1]
+    vals = np.ldexp(r.values, -e)
     masses = r.masses
     buf = np.empty(vals.shape)  # one buffer for every evaluation of the integral
 
@@ -78,14 +79,12 @@ def orlicz_exp_norm(r: Rearrangement, rel_tol: float = 1e-10) -> float:
             np.expm1(np.divide(vals, u, out=buf), out=buf)
             return float(np.sum(np.multiply(masses, buf, out=buf)))
 
-    hi = vmax / math.log(2.0)
+    hi = math.ldexp(vmax, -e) / math.log(2.0)
     while integral(hi) > _ORLICZ_TARGET:
         hi *= 2.0
     lo = hi
     while integral(lo) <= _ORLICZ_TARGET:
         lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
     for _ in range(200):
         if hi - lo <= rel_tol * hi:
             break
@@ -96,7 +95,7 @@ def orlicz_exp_norm(r: Rearrangement, rel_tol: float = 1e-10) -> float:
             lo = mid
     else:
         raise ArithmeticError("orlicz bisection failed to converge in 200 steps")
-    return 0.5 * (lo + hi)
+    return math.ldexp(0.5 * (lo + hi), e)
 
 
 def marcinkiewicz_norm(r: Rearrangement, phi: Callable[[np.ndarray], np.ndarray]) -> float:

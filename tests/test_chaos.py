@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chaoslab.chaos import (
     apply_signs,
@@ -10,6 +15,7 @@ from chaoslab.chaos import (
     eval_undecoupled,
     shift_map,
 )
+from chaoslab.dyadic import full_sign_matrix
 from chaoslab.errors import EnumerationCapError
 from chaoslab.extremal import walsh_sign_arrangement
 from chaoslab.rearrange import distribution, equimeasurable
@@ -18,6 +24,33 @@ from chaoslab.rearrange import distribution, equimeasurable
 def masses(step):
     vals, counts = np.unique(step.flat_values(), return_counts=True)
     return {float(v): c * step.atom_measure for v, c in zip(vals, counts)}
+
+
+@st.composite
+def zero_diagonal(draw, sizes):
+    """(b, exact): a square matrix with zero diagonal, Gaussian or small-integer entries."""
+    n = draw(sizes)
+    if draw(st.booleans()):
+        b = draw(arrays(np.int64, (n, n), elements=st.integers(-3, 3))).astype(float)
+        exact = True
+    else:
+        b = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((n, n))
+        exact = False
+    np.fill_diagonal(b, 0.0)
+    return b, exact
+
+
+def sign_table_undecoupled(b):
+    """sum_{i != j} b_ij eps_i eps_j per mask through the full sign table."""
+    E = full_sign_matrix(b.shape[0])
+    return ((E @ b) * E).sum(axis=1)
+
+
+def assert_atoms_match(got, want, exact):
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
 
 
 class TestEvalDecoupled:
@@ -63,6 +96,27 @@ class TestEvalUndecoupled:
         with pytest.raises(ValueError):
             eval_undecoupled(np.zeros((2, 3)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(zero_diagonal(st.integers(1, 10)))
+    def test_matches_sign_table(self, case):
+        b, exact = case
+        got = eval_undecoupled(b)
+        assert got.values.shape == (2 ** b.shape[0],)
+        assert_atoms_match(got.values, sign_table_undecoupled(b), exact)
+        assert np.array_equal(got.values, got.values[::-1])  # x(-eps) == x(eps)
+
+    def test_peak_memory_at_20(self):
+        # output 8 MiB plus the doubling stack; the 2^20 x 20 sign-table product peaked near 488 MiB
+        b = np.random.Generator(np.random.Philox(key=60)).standard_normal((20, 20))
+        np.fill_diagonal(b, 0.0)
+        tracemalloc.start()
+        try:
+            eval_undecoupled(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
 
 class TestDecouplingIdentity:
     def test_hand_case(self):
@@ -93,6 +147,20 @@ class TestDecouplingIdentity:
             lhs = eval_undecoupled(b)
             rhs = decouple_identity_rhs(b, n)
             assert np.abs(lhs.values - rhs.values).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(zero_diagonal(st.integers(1, 8)))
+    def test_matches_sign_table(self, case):
+        b, exact = case
+        rhs = decouple_identity_rhs(b, b.shape[0])
+        assert_atoms_match(rhs.values, sign_table_undecoupled(b), exact)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_integer_coefficients_bit_exact(self, n):
+        rng = np.random.Generator(np.random.Philox(key=13))
+        b = rng.integers(-4, 5, size=(n, n)).astype(float)
+        np.fill_diagonal(b, 0.0)
+        assert np.array_equal(decouple_identity_rhs(b, n).values, eval_undecoupled(b).values)
 
     def test_subset_cap(self):
         with pytest.raises(EnumerationCapError):

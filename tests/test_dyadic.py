@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from chaoslab.dyadic import (
     DyadicPoint,
     StepFunction1D,
     dyadic_add,
     full_sign_matrix,
+    linear_forms,
     mask_from_signs,
     materialize_1d,
     point_to_mask,
+    quadratic_form,
     rademacher,
     signs_from_masks,
     walsh,
@@ -158,6 +163,103 @@ class TestMaterialize:
         with pytest.raises(EnumerationCapError):
             materialize_1d(np.ones(25))
         materialize_1d(np.ones(25), max_bits=25)  # explicit override works
+
+
+def concatenation_materialize(c):
+    """The former materialize_1d loop: one concatenation per coefficient."""
+    vals = np.zeros(1, dtype=np.float64)
+    for ci in np.asarray(c, dtype=np.float64):
+        vals = np.concatenate([vals + ci, vals - ci])
+    return vals
+
+
+@st.composite
+def coefficients(draw, shape):
+    """(array, exact): Gaussian at three scales, or small integers / +-1, whose forms are exact."""
+    shape = tuple(draw(s) if isinstance(s, st.SearchStrategy) else s for s in shape)
+    kind = draw(st.sampled_from(["gauss", "int", "pm1"]))
+    if kind == "gauss":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return rng.standard_normal(shape) * draw(st.sampled_from([1e-3, 1.0, 1e3])), False
+    if kind == "int":
+        return draw(arrays(np.int64, shape, elements=st.integers(-3, 3))).astype(float), True
+    return np.where(draw(arrays(np.bool_, shape)), -1.0, 1.0), True
+
+
+def assert_forms_match(got, want, exact):
+    assert got.shape == want.shape
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def sign_table_quadratic(b):
+    """eps^T b eps per mask through the full sign table (the former evaluation)."""
+    E = full_sign_matrix(b.shape[0])
+    return ((E @ b) * E).sum(axis=1)
+
+
+class TestLinearForms:
+    @settings(max_examples=150, deadline=None)
+    @given(coefficients((st.integers(1, 10), st.integers(1, 6))))
+    def test_matches_sign_table(self, case):
+        c, exact = case
+        assert_forms_match(linear_forms(c), full_sign_matrix(c.shape[0]) @ c, exact)
+
+    @settings(max_examples=100, deadline=None)
+    @given(coefficients((st.integers(1, 10),)))
+    def test_materialize_is_bit_identical_to_concatenation(self, case):
+        c, _ = case
+        want = concatenation_materialize(c)
+        assert np.array_equal(materialize_1d(c).values, want)
+        assert np.array_equal(linear_forms(c), want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(coefficients((st.integers(1, 10), st.integers(1, 6))))
+    def test_negated_mask_negates_exactly(self, case):
+        v = linear_forms(case[0])
+        assert np.array_equal(v[::-1], -v)
+
+    def test_no_variables(self):
+        assert np.array_equal(linear_forms(np.zeros((0, 3))), np.zeros((1, 3)))
+
+
+class TestQuadraticForm:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: coefficients((n, n))))
+    def test_matches_sign_table(self, case):
+        b, exact = case  # non-symmetric, non-zero diagonal
+        assert_forms_match(quadratic_form(b), sign_table_quadratic(b), exact)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda n: coefficients((n, n))))
+    def test_matches_rademacher_brute_force(self, case):
+        b, exact = case
+        n = b.shape[0]
+        want = np.empty(2**n)
+        for mask in range(2**n):
+            p = DyadicPoint(tuple((mask >> i) & 1 for i in range(n)))
+            r = [rademacher(k, p) for k in range(1, n + 1)]
+            want[mask] = sum(b[i, j] * r[i] * r[j] for i in range(n) for j in range(n))
+        assert_forms_match(quadratic_form(b), want, exact)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: coefficients((n, n))), st.booleans())
+    def test_even_under_negation_exactly(self, case, zero_diagonal):
+        b = case[0].copy()
+        if zero_diagonal:
+            np.fill_diagonal(b, 0.0)
+        v = quadratic_form(b)
+        assert np.array_equal(v, v[::-1])
+
+    def test_diagonal_enters_as_trace(self):
+        # non-symmetric with a non-zero diagonal: eps^T b eps = trace + (b01 + b10) e0 e1
+        b = np.array([[2.0, 5.0], [-1.0, 3.0]])
+        assert quadratic_form(b).tolist() == [9.0, 1.0, 1.0, 9.0]
+
+    def test_no_variables(self):
+        assert quadratic_form(np.zeros((0, 0))).tolist() == [0.0]
 
 
 class TestSignHelpers:

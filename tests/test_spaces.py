@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,52 @@ class TestOrlicz:
             else:
                 lo = mid
         raise AssertionError("oracle bisection did not converge")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=40, unique=True),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([-1000, -1, 1, 1000]),
+        st.sampled_from([1e-10, 1e-15]),
+    )
+    def test_homogeneous_under_powers_of_two(self, values, seed, k, rel_tol):
+        # scaling by 2^k is exact, so the norm scales by 2^k bit for bit
+        counts = np.random.default_rng(seed).integers(1, 9, len(values))
+        vals = np.sort(np.array(values))[::-1]
+        r = Rearrangement(values=vals, masses=counts / counts.sum())
+        scaled = Rearrangement(values=np.ldexp(vals, k), masses=r.masses)
+        assert orlicz_exp_norm(scaled, rel_tol) == math.ldexp(orlicz_exp_norm(r, rel_tol), k)
+
+    def test_tiny_scale_is_not_zero(self):
+        masses = np.array([0.5, 0.5])
+        tiny = orlicz_exp_norm(Rearrangement(values=np.array([1e-300, 5e-301]), masses=masses))
+        unit = orlicz_exp_norm(Rearrangement(values=np.array([1.0, 0.5]), masses=masses))
+        # approx's default absolute tolerance (1e-12) would accept 0.0 here
+        assert tiny == pytest.approx(unit * 1e-300, rel=1e-9, abs=0.0)
+        assert tiny == pytest.approx(7.8896e-301, rel=1e-4, abs=0.0)
+
+    def test_huge_scale_returns(self):
+        # before the scaling fix this call never returned, so it runs in a child with a timeout
+        code = (
+            "import numpy as np; from chaoslab.rearrange import Rearrangement;"
+            "from chaoslab.spaces import orlicz_exp_norm;"
+            "print(repr(orlicz_exp_norm(Rearrangement("
+            "values=np.array([1.7e308, 8.5e307]), masses=np.array([0.5, 0.5])))))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        assert proc.returncode == 0, proc.stderr
+        huge = float(proc.stdout)
+        unit = orlicz_exp_norm(
+            Rearrangement(values=np.array([1.7, 0.85]), masses=np.array([0.5, 0.5]))
+        )
+        assert math.isfinite(huge)
+        assert huge == pytest.approx(unit * 1e308, rel=1e-9)
+        assert huge == pytest.approx(1.3412e308, rel=1e-4)
 
     @settings(max_examples=100, deadline=None)
     @given(
