@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -194,50 +195,45 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
+def _row(n: int, mode: str, value, samples: int, seed: int, elapsed: float) -> dict:
+    """One scaling row; a ``value`` of None makes it a skip row."""
+    return {
+        "n": n,
+        "mode": mode,
+        "value": value,
+        "ratio": None if value is None else value / n**1.5,
+        "samples": samples,
+        "seed": seed,
+        "elapsed_ms": elapsed * 1000.0,
+        "status": "skip" if value is None else "ok",
+    }
+
+
 def _scaling_rows(cfg: RunConfig, ns: list[int], samples: int) -> list[dict]:
     rows = []
+
+    def add(rep: extremal.SearchReport) -> None:
+        rows.append(_row(rep.n, rep.mode, rep.value, rep.samples, rep.seed, rep.elapsed))
+
     for n in ns:
         if 2 ** (n * n) <= samples and n <= extremal.EXACT_AVERAGE_CAP:
-            rows.append(_report_row(extremal.exact_average(n)))
+            add(extremal.exact_average(n))
         elif n <= extremal.MONTE_CARLO_CAP:
-            rows.append(_report_row(extremal.monte_carlo_average(n, samples, cfg.seed)))
+            add(extremal.monte_carlo_average(n, samples, cfg.seed))
         else:
-            rows.append(_skip_row(n, "monte_carlo", cfg.seed))
+            rows.append(_row(n, "monte_carlo", None, 0, cfg.seed, 0.0))
         if n <= extremal.EXHAUSTIVE_CAP:
-            rows.append(_report_row(extremal.exhaustive_inf(n)))
+            add(extremal.exhaustive_inf(n))
         else:
-            rows.append(_skip_row(n, "exhaustive", 0))
+            rows.append(_row(n, "exhaustive", None, 0, 0, 0.0))
         k = n.bit_length() - 1
-        if n == 2**k:
-            if k <= extremal.SIDON_K_CAP:
-                t0 = time.perf_counter()
-                value = extremal.sup_norm_decoupled(extremal.walsh_sign_arrangement(k))
-                rows.append(
-                    {"n": n, "mode": "walsh", "value": value, "ratio": value / n**1.5,
-                     "samples": 2 ** (n - 1), "seed": 0,
-                     "elapsed_ms": (time.perf_counter() - t0) * 1000.0, "status": "ok"}
-                )
-            else:
-                rows.append(_skip_row(n, "walsh", 0))
+        if n == 2**k and k <= extremal.SIDON_K_CAP:
+            t0 = time.perf_counter()
+            value = extremal.sup_norm_decoupled(extremal.walsh_sign_arrangement(k))
+            rows.append(_row(n, "walsh", value, 2 ** (n - 1), 0, time.perf_counter() - t0))
+        elif n == 2**k:
+            rows.append(_row(n, "walsh", None, 0, 0, 0.0))
     return rows
-
-
-def _skip_row(n: int, mode: str, seed: int) -> dict:
-    return {"n": n, "mode": mode, "value": None, "ratio": None,
-            "samples": 0, "seed": seed, "elapsed_ms": 0.0, "status": "skip"}
-
-
-def _report_row(rep: extremal.SearchReport) -> dict:
-    return {
-        "n": rep.n,
-        "mode": rep.mode,
-        "value": rep.value,
-        "ratio": rep.value / rep.n**1.5,
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "elapsed_ms": rep.elapsed * 1000.0,
-        "status": "ok",
-    }
 
 
 def _scaling_csv(cfg: RunConfig, rows: list[dict]) -> str:
@@ -272,13 +268,7 @@ def _cmd_scaling(args, cfg: RunConfig) -> int:
     samples = args.samples if args.samples is not None else cfg.samples
     emitter = _Emitter(cfg, "scaling", {"n": ns, "samples": samples, "seed": cfg.seed})
 
-    rows_box: list = []
-
-    def compute() -> list[dict]:
-        if not rows_box:
-            rows_box.append(_scaling_rows(cfg, ns, samples))
-        return rows_box[0]
-
+    compute = functools.cache(lambda: _scaling_rows(cfg, ns, samples))
     render = {}
     if "csv" in _formats(cfg):
         render["csv"] = lambda: _scaling_csv(cfg, compute())
@@ -298,12 +288,11 @@ def _cmd_norm(args, cfg: RunConfig) -> int:
         x = eval_decoupled(a, max_bits=cfg.max_bits_2d)
     else:
         x = eval_undecoupled(a, max_bits=cfg.max_bits_1d)
-    value = spaces.evaluate_norm(spec, x, cfg.orlicz_rel_tol)
+    r = rearrangement(x) if args.export_rearrangement else None
+    value = spaces.evaluate_norm(spec, x, cfg.orlicz_rel_tol, r)
     print(f"norm space={args.space} mode={args.mode} value={_fmt(value)}")
-    if args.export_rearrangement:
-        Path(args.export_rearrangement).write_text(
-            matio.rearrangement_to_csv(rearrangement(x))
-        )
+    if r is not None:
+        Path(args.export_rearrangement).write_text(matio.rearrangement_to_csv(r))
     emitter = _Emitter(
         cfg, "norm", {"matrix": str(args.matrix), "space": args.space, "mode": args.mode}
     )

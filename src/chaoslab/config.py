@@ -1,74 +1,75 @@
 """Run configuration: flat key=value file with one section per suite.
 
-The packaged ``default.cfg`` pins every suite's scale so verification runs
-are deterministic; a user file overlays it section by section, and the CLI's
-global flags override the [run] section last.  The full snapshot travels with
-every emitted artifact.
+The packaged ``default.cfg`` is the single source of every default: it pins
+each suite's scale so verification runs are deterministic, and it is always
+read first.  A user file overlays it section by section, and the CLI's global
+flags override the [run] section last.  The one computed fallback is
+``[theorem5] samples``, which falls back to ``[run] samples``.  The full
+snapshot travels with every emitted artifact.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+
+
+def _flag(raw: str) -> bool:
+    return raw.strip().lower() not in ("false", "0", "no")
+
+
+# [run] key -> (RunConfig field, parser); drives both loading and the snapshot.
+_RUN_KEYS = {
+    "seed": ("seed", int),
+    "samples": ("samples", int),
+    "max_bits_1d": ("max_bits_1d", int),
+    "max_bits_2d": ("max_bits_2d", int),
+    "quad_rel_tol": ("quad_rel_tol", float),
+    "orlicz_rel_tol": ("orlicz_rel_tol", float),
+    "format": ("out_format", str),
+    "out": ("out_dir", str),
+    "cache": ("cache", _flag),
+}
 
 
 @dataclass
 class RunConfig:
     """Typed view of the [run] section plus raw per-suite scales."""
 
-    seed: int = 1235813
-    samples: int = 2000
-    max_bits_1d: int = 24
-    max_bits_2d: int = 26
-    quad_rel_tol: float = 1e-9
-    orlicz_rel_tol: float = 1e-10
-    out_format: str = "csv"
-    out_dir: str = "chaoslab-out"
-    cache: bool = True
-    sections: dict[str, dict[str, str]] = field(default_factory=dict)
+    seed: int
+    samples: int
+    max_bits_1d: int
+    max_bits_2d: int
+    quad_rel_tol: float
+    orlicz_rel_tol: float
+    out_format: str
+    out_dir: str
+    cache: bool
+    sections: dict[str, dict[str, str]]
 
-    def suite(self, name: str) -> dict[str, str]:
-        return self.sections.get(name, {})
+    def suite_str(self, name: str, key: str) -> str:
+        return self.sections[name][key]
 
-    def suite_float(self, name: str, key: str, default: float) -> float:
-        raw = self.suite(name).get(key)
-        return default if raw is None else float(raw)
+    def suite_float(self, name: str, key: str) -> float:
+        return float(self.suite_str(name, key))
 
-    def suite_int(self, name: str, key: str, default: int) -> int:
-        raw = self.suite(name).get(key)
-        return default if raw is None else int(raw)
+    def suite_int(self, name: str, key: str) -> int:
+        return int(self.suite_str(name, key))
 
-    def suite_str(self, name: str, key: str, default: str) -> str:
-        raw = self.suite(name).get(key)
-        return default if raw is None else raw
+    def suite_int_list(self, name: str, key: str) -> list[int]:
+        return [int(tok) for tok in self.suite_str(name, key).replace(",", " ").split()]
 
-    def suite_int_list(self, name: str, key: str, default: list[int]) -> list[int]:
-        raw = self.suite(name).get(key)
-        if raw is None:
-            return default
-        return [int(tok) for tok in raw.replace(",", " ").split()]
-
-    def suite_float_list(self, name: str, key: str, default: list[float]) -> list[float]:
-        raw = self.suite(name).get(key)
-        if raw is None:
-            return default
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+    def suite_float_list(self, name: str, key: str) -> list[float]:
+        return [float(tok) for tok in self.suite_str(name, key).replace(",", " ").split()]
 
     def snapshot(self) -> dict[str, str]:
         """Flat, deterministically ordered view of the effective configuration."""
-        snap: dict[str, str] = {
-            "run.seed": str(self.seed),
-            "run.samples": str(self.samples),
-            "run.max_bits_1d": str(self.max_bits_1d),
-            "run.max_bits_2d": str(self.max_bits_2d),
-            "run.quad_rel_tol": repr(self.quad_rel_tol),
-            "run.orlicz_rel_tol": repr(self.orlicz_rel_tol),
-            "run.format": self.out_format,
-            "run.out": self.out_dir,
-            "run.cache": str(self.cache).lower(),
-        }
+        snap: dict[str, str] = {}
+        for key, (attr, _) in _RUN_KEYS.items():
+            value = getattr(self, attr)
+            snap[f"run.{key}"] = str(value).lower() if isinstance(value, bool) else str(value)
         for section in sorted(self.sections):
             if section == "run":
                 continue
@@ -77,31 +78,15 @@ class RunConfig:
         return snap
 
 
-def _parser_to_config(parser: configparser.ConfigParser) -> RunConfig:
-    sections = {
-        name: dict(parser.items(name)) for name in parser.sections()
-    }
-    run = sections.get("run", {})
-    return RunConfig(
-        seed=int(run.get("seed", 1235813)),
-        samples=int(run.get("samples", 2000)),
-        max_bits_1d=int(run.get("max_bits_1d", 24)),
-        max_bits_2d=int(run.get("max_bits_2d", 26)),
-        quad_rel_tol=float(run.get("quad_rel_tol", 1e-9)),
-        orlicz_rel_tol=float(run.get("orlicz_rel_tol", 1e-10)),
-        out_format=run.get("format", "csv"),
-        out_dir=run.get("out", "chaoslab-out"),
-        cache=run.get("cache", "true").strip().lower() not in ("false", "0", "no"),
-        sections=sections,
-    )
-
-
 def load_config(path: str | Path | None = None) -> RunConfig:
     """Load the packaged defaults, then overlay the user file if given."""
     parser = configparser.ConfigParser()
-    default_text = resources.files("chaoslab").joinpath("default.cfg").read_text()
-    parser.read_string(default_text)
+    parser.read_string(resources.files("chaoslab").joinpath("default.cfg").read_text())
     if path is not None:
-        text = Path(path).read_text()
-        parser.read_string(text)
-    return _parser_to_config(parser)
+        parser.read_string(Path(path).read_text())
+    sections = {name: dict(parser.items(name)) for name in parser.sections()}
+    run = sections["run"]
+    return RunConfig(
+        **{attr: parse(run[key]) for key, (attr, parse) in _RUN_KEYS.items()},
+        sections=sections,
+    )

@@ -102,35 +102,13 @@ def dyadic_add(s: DyadicPoint, u: DyadicPoint) -> DyadicPoint:
     return DyadicPoint(tuple(a ^ b for a, b in zip(s.bits, u.bits)))
 
 
-def signs_from_masks(masks: np.ndarray, n: int) -> np.ndarray:
-    """Sign matrix for an array of bitmasks: entry (m, i) is the sign of r_{i+1}.
-
-    A set bit i of the mask maps to -1.
-    """
-    masks = np.asarray(masks, dtype=np.uint64)
-    shifts = np.arange(n, dtype=np.uint64)
-    bits = (masks[:, None] >> shifts[None, :]) & np.uint64(1)
-    return 1.0 - 2.0 * bits.astype(np.float64)
-
-
-def mask_from_signs(eps) -> int:
-    """Bitmask of a sign vector (entries +-1); -1 sets the bit."""
-    mask = 0
-    for i, e in enumerate(eps):
-        if e == -1:
-            mask |= 1 << i
-        elif e != 1:
-            raise ValueError(f"sign vector entries must be +-1, got {e}")
-    return mask
-
-
 def full_sign_matrix(n: int) -> np.ndarray:
     """All 2^n sign vectors as a (2^n, n) matrix of +-1 floats, mask order."""
-    return signs_from_masks(np.arange(2**n, dtype=np.uint64), n)
+    return linear_forms(np.eye(n))
 
 
 def linear_forms(c) -> np.ndarray:
-    """``full_sign_matrix(n) @ c`` for c of shape (n, ...), by doubling: O(2^n) per column."""
+    """eps^T c for every mask, for c of shape (n, ...), by doubling: O(2^n) per column."""
     c = np.asarray(c, dtype=np.float64)
     out = np.zeros((2 ** c.shape[0],) + c.shape[1:])
     for j, cj in enumerate(c):
@@ -158,14 +136,6 @@ def quadratic_form(b) -> np.ndarray:
         np.subtract(forms[1:], row[j + 1 :, None], out=grown[:, size:])
         forms = grown
     return out
-
-
-def point_to_mask(p: DyadicPoint) -> int:
-    """Bitmask of the sign vector realized on the cell ``p``."""
-    mask = 0
-    for i, b in enumerate(p.bits):
-        mask |= b << i
-    return mask
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .dyadic import StepFunction1D, StepFunction2D
-from .rearrange import Rearrangement
+from .rearrange import Rearrangement, rearrangement
 
 StepFunction = StepFunction1D | StepFunction2D
 
@@ -36,7 +36,8 @@ def lp_norm(x: StepFunction, q: float) -> float:
     if math.isinf(q) or top == 0.0:
         return top
     vals /= top
-    return top * float(np.sum(vals**q) * x.atom_measure) ** (1.0 / q)
+    vals **= q
+    return top * float(np.sum(vals) * x.atom_measure) ** (1.0 / q)
 
 
 def exp_moment(x: StepFunction, u: float) -> float:
@@ -47,10 +48,12 @@ def exp_moment(x: StepFunction, u: float) -> float:
     """
     if u <= 0:
         raise ValueError(f"u must be positive, got {u}")
-    vals = np.abs(x.flat_values())
-    exponents = u * vals + math.log(x.atom_measure)
+    exponents = np.abs(x.flat_values())  # an owned copy, worked in place
+    exponents *= u
+    exponents += math.log(x.atom_measure)
     peak = float(exponents.max())
-    log_sum = peak + math.log(float(np.sum(np.exp(exponents - peak))))
+    exponents -= peak
+    log_sum = peak + math.log(float(np.sum(np.exp(exponents, out=exponents))))
     if log_sum > 709.0:
         return math.inf
     return math.exp(log_sum) - 1.0
@@ -190,13 +193,14 @@ def parse_space(text: str) -> SpaceSpec:
     raise ValueError(f"unknown space '{text}'")
 
 
-def evaluate_norm(spec: SpaceSpec, x: StepFunction, rel_tol: float = 1e-10) -> float:
-    """Evaluate the requested norm of a step function."""
-    from .rearrange import rearrangement
-
+def evaluate_norm(
+    spec: SpaceSpec, x: StepFunction, rel_tol: float = 1e-10, r: Rearrangement | None = None
+) -> float:
+    """Evaluate the requested norm of a step function; ``r`` is x's rearrangement, if known."""
     if spec.kind == "lp":
         return lp_norm(x, spec.param)
-    r = rearrangement(x)
+    if r is None:
+        r = rearrangement(x)
     if spec.kind == "orlicz_exp":
         return orlicz_exp_norm(r, rel_tol)
     if spec.kind == "marcinkiewicz":

@@ -10,12 +10,9 @@ from chaoslab.dyadic import (
     dyadic_add,
     full_sign_matrix,
     linear_forms,
-    mask_from_signs,
     materialize_1d,
-    point_to_mask,
     quadratic_form,
     rademacher,
-    signs_from_masks,
     walsh,
 )
 from chaoslab.errors import EnumerationCapError, InsufficientPrecisionError
@@ -264,16 +261,19 @@ class TestQuadraticForm:
 
 class TestSignHelpers:
     def test_mask_roundtrip(self):
-        for mask in range(16):
-            signs = signs_from_masks(np.array([mask]), 4)[0]
-            assert mask_from_signs(signs.astype(int).tolist()) == mask
+        # row ``mask`` of the sign matrix is -1 exactly at the set bits of mask
+        for n in range(1, 7):
+            signs = full_sign_matrix(n)
+            for mask in range(2**n):
+                assert signs[mask].tolist() == [-1.0 if mask >> i & 1 else 1.0 for i in range(n)]
 
     def test_point_mask_matches_rademacher(self):
-        for idx in range(16):
-            p = DyadicPoint.cell(idx, 4)
-            signs = signs_from_masks(np.array([point_to_mask(p)]), 4)[0]
-            for k in range(1, 5):
-                assert signs[k - 1] == rademacher(k, p)
+        # bit i-1 of the mask is the i-th digit of the cell
+        for n in range(1, 7):
+            signs = full_sign_matrix(n)
+            for mask in range(2**n):
+                p = DyadicPoint(tuple(mask >> i & 1 for i in range(n)))
+                assert signs[mask].tolist() == [rademacher(k, p) for k in range(1, n + 1)]
 
     def test_step_function_shape_validation(self):
         with pytest.raises(ValueError):

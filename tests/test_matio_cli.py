@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab import cli
+from chaoslab import cli, extremal, rearrange
 from chaoslab.config import load_config
 from chaoslab.errors import MatrixParseError
 from chaoslab.matio import (
@@ -20,6 +20,7 @@ from chaoslab.matio import (
     rearrangement_to_csv,
 )
 from chaoslab.rearrange import Rearrangement
+from chaoslab.suites import SUITE_NAMES, run_suite
 
 
 class TestMatrixParsing:
@@ -72,26 +73,108 @@ class TestMatrixParsing:
         assert text.splitlines() == ["value,cumulative_measure", "2,0.25", "0.5,1"]
 
 
+DEFAULT_RUN_SNAPSHOT = {
+    "run.seed": "1235813",
+    "run.samples": "2000",
+    "run.max_bits_1d": "24",
+    "run.max_bits_2d": "26",
+    "run.quad_rel_tol": "1e-09",
+    "run.orlicz_rel_tol": "1e-10",
+    "run.format": "csv",
+    "run.out": "chaoslab-out",
+    "run.cache": "true",
+}
+
+DEFAULT_SUITE_SNAPSHOT = {
+    "clt.bound": "0.1",
+    "clt.n": "64",
+    "decoupling.n": "5",
+    "decoupling.tol": "1e-12",
+    "decoupling.trials": "50",
+    "khinchin.exp_u": "0.18",
+    "khinchin.n_max": "6",
+    "khinchin.q_values": "2, 3, 4, 6",
+    "khinchin.trials": "100",
+    "lemma2.z_values": "1, 4, 9, 16, 25",
+    "lemma3.n": "3",
+    "lemma3.trials": "50",
+    "orlicz.t_values": "1, 0.5, 0.25, 0.0625",
+    "orlicz.tol": "1e-8",
+    "proposition.k_values": "0, 1, 2, 3, 4",
+    "theorem5.exhaustive_n": "2, 3, 4, 5",
+    "theorem5.mc_n": "4, 8, 12",
+    "theorem6.n_max": "8",
+    "theorem6.trials": "100",
+    "theorem7.eps": "0.25",
+    "theorem7.k_max": "2",
+    "theorem7.mode": "full",
+}
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = load_config()
         assert cfg.seed == 1235813
         assert cfg.samples == 2000
-        assert cfg.suite_float_list("lemma2", "z_values", []) == [1, 4, 9, 16, 25]
+        assert cfg.suite_float_list("lemma2", "z_values") == [1, 4, 9, 16, 25]
 
     def test_overlay(self, tmp_path):
         path = tmp_path / "user.cfg"
         path.write_text("[run]\nseed = 42\n\n[lemma2]\nz_values = 1, 9\n")
         cfg = load_config(path)
         assert cfg.seed == 42
-        assert cfg.suite_float_list("lemma2", "z_values", []) == [1, 9]
+        assert cfg.suite_float_list("lemma2", "z_values") == [1, 9]
         # untouched sections keep the packaged defaults
-        assert cfg.suite_int("clt", "n", 0) == 64
+        assert cfg.suite_int("clt", "n") == 64
 
     def test_snapshot_is_flat_and_sorted(self):
         snap = load_config().snapshot()
         assert snap["run.seed"] == "1235813"
         assert "lemma2.z_values" in snap
+
+    def test_snapshot_of_packaged_defaults(self):
+        assert load_config().snapshot() == {**DEFAULT_RUN_SNAPSHOT, **DEFAULT_SUITE_SNAPSHOT}
+
+    def test_snapshot_of_full_run_overlay(self, tmp_path):
+        path = tmp_path / "user.cfg"
+        path.write_text(
+            "[run]\nseed = 7\nsamples = 30\nmax_bits_1d = 20\nmax_bits_2d = 22\n"
+            "quad_rel_tol = 1E-9\norlicz_rel_tol = 0.5e-11\nformat = both\n"
+            "out = elsewhere\ncache = no\n"
+        )
+        assert load_config(path).snapshot() == {
+            "run.seed": "7",
+            "run.samples": "30",
+            "run.max_bits_1d": "20",
+            "run.max_bits_2d": "22",
+            "run.quad_rel_tol": "1e-09",
+            "run.orlicz_rel_tol": "5e-12",
+            "run.format": "both",
+            "run.out": "elsewhere",
+            "run.cache": "false",
+            **DEFAULT_SUITE_SNAPSHOT,
+        }
+
+    @pytest.mark.parametrize("overlay, expected", [
+        ("[run]\nsamples = 40\n[theorem5]\nmc_n = 4\nsamples = 30\n", 30),
+        ("[run]\nsamples = 40\n[theorem5]\nmc_n = 4\n", 40),
+    ], ids=["theorem5_overlay", "run_fallback"])
+    def test_theorem5_samples_fall_back_to_run_samples(
+        self, tmp_path, monkeypatch, overlay, expected
+    ):
+        seen = []
+        original = extremal.monte_carlo_average
+
+        def spy(n, samples, seed):
+            seen.append(samples)
+            return original(n, samples, seed)
+
+        monkeypatch.setattr(extremal, "monte_carlo_average", spy)
+        path = tmp_path / "user.cfg"
+        path.write_text(overlay)
+        (res,) = run_suite("theorem5", load_config(path))
+        assert res.passed
+        assert seen == [expected]
 
 
 @pytest.fixture
@@ -177,6 +260,25 @@ class TestCliNorm:
             "0,1",
         ]
 
+    def test_export_sorts_the_law_once(self, tmp_path, outdir, monkeypatch):
+        calls = []
+        original = rearrange._sorted_steps
+
+        def counting(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(rearrange, "_sorted_steps", counting)
+        f = tmp_path / "a.txt"
+        f.write_text("2 2\n1 2\n-3 1\n")
+        dest = tmp_path / "rearr.csv"
+        assert run_cli(
+            ["norm", str(f), "--space", "orlicz-exp", "--export-rearrangement", str(dest)],
+            outdir,
+        ) == 0
+        assert len(calls) == 1
+        assert dest.read_text().startswith("value,cumulative_measure\n")
+
     def test_marc_out_of_range_exit_2(self, tmp_path, outdir):
         f = tmp_path / "a.txt"
         f.write_text("1 1\n1\n")
@@ -260,6 +362,21 @@ class TestCliScaling:
         assert "monte_carlo[skip]" in out
         assert "exhaustive[skip]" in out
 
+    def test_skip_rows_keep_their_fields(self, outdir):
+        assert run_cli(
+            ["--seed", "99", "--format", "json", "scaling", "--n", "17,32", "--samples", "50"],
+            outdir,
+        ) == 0
+        rows = json.loads((outdir / "scaling.json").read_text())["rows"]
+        assert [(r["n"], r["mode"], r["seed"]) for r in rows] == [
+            (17, "monte_carlo", 99), (17, "exhaustive", 0),
+            (32, "monte_carlo", 99), (32, "exhaustive", 0), (32, "walsh", 0),
+        ]
+        for r in rows:
+            assert (r["value"], r["ratio"], r["samples"], r["elapsed_ms"], r["status"]) == (
+                None, None, 0, 0.0, "skip"
+            )
+
     def test_reruns_byte_identical(self, outdir):
         args = ["--seed", "11", "scaling", "--n", "1,2,4", "--samples", "32"]
         assert run_cli(args, outdir) == 0
@@ -303,19 +420,22 @@ class TestConsoleScript:
         run(["-c", f"import sys; from {module} import {attr}; sys.exit({attr}())"])
 
 
+# shrunk scales so that aggregate runs stay fast
+SMALL_VERIFY_CFG = (
+    "[run]\nsamples = 50\n"
+    "[khinchin]\ntrials = 3\n"
+    "[decoupling]\ntrials = 3\n"
+    "[lemma3]\ntrials = 3\n"
+    "[theorem5]\nexhaustive_n = 2, 3\nmc_n = 4\nsamples = 50\n"
+    "[proposition]\nk_values = 0, 1, 2\n"
+    "[theorem6]\ntrials = 5\n"
+)
+
+
 class TestVerifyAll:
     def test_aggregates_every_suite(self, tmp_path, outdir):
-        # shrink the scales so the aggregate run stays fast
         cfg = tmp_path / "small.cfg"
-        cfg.write_text(
-            "[run]\nsamples = 50\n"
-            "[khinchin]\ntrials = 3\n"
-            "[decoupling]\ntrials = 3\n"
-            "[lemma3]\ntrials = 3\n"
-            "[theorem5]\nexhaustive_n = 2, 3\nmc_n = 4\nsamples = 50\n"
-            "[proposition]\nk_values = 0, 1, 2\n"
-            "[theorem6]\ntrials = 5\n"
-        )
+        cfg.write_text(SMALL_VERIFY_CFG)
         assert cli.main(
             ["--config", str(cfg), "--out", str(outdir), "verify", "all"]
         ) == 0
@@ -326,6 +446,13 @@ class TestVerifyAll:
             "proposition", "theorem6", "theorem7", "orlicz", "clt",
         }
         assert ",fail," not in text
+
+    def test_run_suite_times_every_suite_in_order(self, tmp_path):
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(SMALL_VERIFY_CFG)
+        results = run_suite("all", load_config(cfg))
+        assert tuple(res.suite for res in results) == SUITE_NAMES
+        assert all(res.wall_time > 0 for res in results)
 
 
 class TestCliConfigOverlay:
