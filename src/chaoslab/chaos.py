@@ -19,6 +19,8 @@ from .dyadic import (
 )
 from .errors import EnumerationCapError
 
+DECOUPLE_SUBSETS_CAP = 12
+
 
 def as_coefficient_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
@@ -75,7 +77,7 @@ def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
     return StepFunction1D(n=n, values=quadratic_form(b))
 
 
-def decouple_identity_rhs(b, N: int, max_subsets_bits: int = 12) -> StepFunction1D:
+def decouple_identity_rhs(b, N: int) -> StepFunction1D:
     """Subset average that reconstructs the undecoupled polynomial.
 
     Sums, over the 2^N subsets D of {1..N}, the polynomial with coefficients (b_ij + b_ji)
@@ -87,9 +89,9 @@ def decouple_identity_rhs(b, N: int, max_subsets_bits: int = 12) -> StepFunction
         raise ValueError(f"coefficient matrix must be {N}x{N}, got {b.shape}")
     if np.any(np.diagonal(b) != 0.0):
         raise ValueError("diagonal must vanish")
-    if N > max_subsets_bits:
+    if N > DECOUPLE_SUBSETS_CAP:
         raise EnumerationCapError(
-            f"enumeration too large: 2^{N} subsets exceeds cap 2^{max_subsets_bits}"
+            f"enumeration too large: 2^{N} subsets exceeds cap 2^{DECOUPLE_SUBSETS_CAP}"
         )
     a = b + b.T
     total = np.zeros(2**N, dtype=np.float64)

@@ -18,7 +18,7 @@ class InsufficientPrecisionError(ChaosLabError, ValueError):
 
 
 class QuadratureError(ChaosLabError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """Quadrature failed to reach the requested tolerance.
 
     Carries the best estimate and the tolerance actually achieved.
     """

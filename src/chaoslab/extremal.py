@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import as_coefficient_matrix, eval_decoupled
-from .dyadic import StepFunction2D, full_sign_matrix, linear_forms, materialize_1d, quadratic_form
+from .dyadic import full_sign_matrix, linear_forms, quadratic_form
 from .errors import EnumerationCapError
 from .rearrange import Rearrangement, rearrangement
 from .spaces import marcinkiewicz_norm, phi_eps, quasinorm_phi_eps
@@ -106,7 +106,7 @@ def _sign_scan(cols: np.ndarray, n: int) -> np.ndarray:
     return best
 
 
-def sup_norm_decoupled(a, cap: int = SUP_DECOUPLED_CAP) -> float:
+def sup_norm_decoupled(a) -> float:
     """Exact sup norm of the decoupled chaos polynomial with coefficients ``a``.
 
     Scans 2^(n-1) sign vectors of the row axis; +-1 matrices go through the
@@ -116,8 +116,8 @@ def sup_norm_decoupled(a, cap: int = SUP_DECOUPLED_CAP) -> float:
     """
     a = as_coefficient_matrix(a)
     n, m = a.shape
-    if n > cap:
-        raise EnumerationCapError(f"row dimension {n} exceeds scan cap {cap}")
+    if n > SUP_DECOUPLED_CAP:
+        raise EnumerationCapError(f"row dimension {n} exceeds scan cap {SUP_DECOUPLED_CAP}")
     if np.all(np.abs(a) == 1.0):
         return float(_sign_scan(_column_masks(a)[None, :], n)[0])
     h = max(1, n // 2)
@@ -136,7 +136,7 @@ def sup_norm_decoupled(a, cap: int = SUP_DECOUPLED_CAP) -> float:
     return best
 
 
-def sup_norm_undecoupled(b, cap: int = SUP_UNDECOUPLED_CAP) -> float:
+def sup_norm_undecoupled(b) -> float:
     """Exact sup norm of sum b_ij r_i(t) r_j(t) (diagonal included, as a quadratic form).
 
     Meets in the middle: for eps = (u, w), eps^T B eps = u^T B11 u + w^T B22 w
@@ -148,8 +148,8 @@ def sup_norm_undecoupled(b, cap: int = SUP_UNDECOUPLED_CAP) -> float:
     n, m = b.shape
     if n != m:
         raise ValueError(f"undecoupled coefficients must be square, got {n}x{m}")
-    if n > cap:
-        raise EnumerationCapError(f"dimension {n} exceeds scan cap {cap}")
+    if n > SUP_UNDECOUPLED_CAP:
+        raise EnumerationCapError(f"dimension {n} exceeds scan cap {SUP_UNDECOUPLED_CAP}")
     h = max(1, n // 2)
     w = full_sign_matrix(n - h)  # the GEMM's right factor
     qu = quadratic_form(b[:h, :h])[::2]
@@ -165,7 +165,7 @@ def sup_norm_undecoupled(b, cap: int = SUP_UNDECOUPLED_CAP) -> float:
     return best
 
 
-def walsh_sign_arrangement(k: int, cap: int = WALSH_K_CAP) -> np.ndarray:
+def walsh_sign_arrangement(k: int) -> np.ndarray:
     """Sign matrix of the first 2^k Walsh functions on the generation-k cells.
 
     Row i holds the signs on the i-th cell; the resulting arrangement keeps
@@ -175,8 +175,8 @@ def walsh_sign_arrangement(k: int, cap: int = WALSH_K_CAP) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > cap:
-        raise EnumerationCapError(f"k={k} exceeds cap {cap}")
+    if k > WALSH_K_CAP:
+        raise EnumerationCapError(f"k={k} exceeds cap {WALSH_K_CAP}")
     idx = np.arange(2**k, dtype=np.uint64)
     rev = np.zeros_like(idx)
     for b in range(k):
@@ -184,8 +184,7 @@ def walsh_sign_arrangement(k: int, cap: int = WALSH_K_CAP) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(rev[:, None] & idx[None, :]) & 1)
 
 
-def exhaustive_inf(n: int, symmetric: bool = False,
-                   cap: int = EXHAUSTIVE_CAP) -> SearchReport:
+def exhaustive_inf(n: int, symmetric: bool = False) -> SearchReport:
     """Exact minimum of the sup norm over all sign matrices.
 
     Decoupled mode canonicalizes by row/column sign flips (first row and
@@ -195,8 +194,8 @@ def exhaustive_inf(n: int, symmetric: bool = False,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise EnumerationCapError(f"n={n} exceeds exhaustive cap {cap}")
+    if n > EXHAUSTIVE_CAP:
+        raise EnumerationCapError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
     t0 = time.perf_counter()
     if not symmetric:
         # column 0 is all +1 (mask 0); row 0 is +1, so inner masks shift up one bit
@@ -224,12 +223,12 @@ def exhaustive_inf(n: int, symmetric: bool = False,
     )
 
 
-def exact_average(n: int, cap: int = EXACT_AVERAGE_CAP) -> SearchReport:
+def exact_average(n: int) -> SearchReport:
     """Exact mean of the decoupled sup norm over all 2^(n^2) sign matrices."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise EnumerationCapError(f"n={n} exceeds exact-average cap {cap}")
+    if n > EXACT_AVERAGE_CAP:
+        raise EnumerationCapError(f"n={n} exceeds exact-average cap {EXACT_AVERAGE_CAP}")
     t0 = time.perf_counter()
     phis = _sign_scan(_bit_fields(n, n), n)
     return SearchReport(
@@ -242,8 +241,7 @@ def exact_average(n: int, cap: int = EXACT_AVERAGE_CAP) -> SearchReport:
     )
 
 
-def monte_carlo_average(n: int, samples: int, seed: int,
-                        cap: int = MONTE_CARLO_CAP) -> SearchReport:
+def monte_carlo_average(n: int, samples: int, seed: int) -> SearchReport:
     """Unbiased estimate of the mean sup norm over uniform random sign matrices.
 
     Matrices are drawn from a counter-based Philox generator keyed by ``seed``
@@ -252,8 +250,8 @@ def monte_carlo_average(n: int, samples: int, seed: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise EnumerationCapError(f"n={n} exceeds Monte-Carlo cap {cap}")
+    if n > MONTE_CARLO_CAP:
+        raise EnumerationCapError(f"n={n} exceeds Monte-Carlo cap {MONTE_CARLO_CAP}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     t0 = time.perf_counter()
@@ -273,14 +271,14 @@ def monte_carlo_average(n: int, samples: int, seed: int,
     )
 
 
-def sidon_defect(k: int, cap: int = SIDON_K_CAP) -> float:
+def sidon_defect(k: int) -> float:
     """Sup norm of the Walsh arrangement divided by its l1 coefficient mass 2^(2k).
 
     Decays like 2^(-k/2), witnessing that the product system is not Sidon.
     The scan cap keeps k at or below 4 (k=5 would need 2^31 sign vectors).
     """
-    if k > cap:
-        raise EnumerationCapError(f"k={k} exceeds cap {cap}")
+    if k > SIDON_K_CAP:
+        raise EnumerationCapError(f"k={k} exceeds cap {SIDON_K_CAP}")
     theta = walsh_sign_arrangement(k)
     return sup_norm_decoupled(theta) / 4.0**k
 
@@ -343,11 +341,7 @@ def theorem7_witness(eps: float, K: int, mode: str = "full") -> Theorem7Report:
         if mode == "full":
             u_k = 2.0 ** (-(2 ** (k + 2)) + 1)
             # the flipped block factors through the window variables only
-            axis = materialize_1d(np.ones(width))
-            y_k = StepFunction2D(
-                n=width, m=width, values=np.outer(axis.values, axis.values)
-            )
-            r = rearrangement(y_k)
+            r = rearrangement(eval_decoupled(np.ones((width, width))))
             rearr_at = r.at(u_k)
             marc = marcinkiewicz_norm(r, phi_eps(eps))
             quasi = quasinorm_phi_eps(r, eps)

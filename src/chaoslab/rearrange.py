@@ -10,6 +10,7 @@ coefficients, so genuinely distinct values never collide.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,8 @@ from .dyadic import StepFunction1D, StepFunction2D
 from .errors import QuadratureError
 
 VALUE_SNAP = 1e-12
+QUAD_MAX_PANELS = 4096
+_UNDERFLOW_EFOLDS = 750.0  # exp(-750) is 0 in double precision
 
 StepFunction = StepFunction1D | StepFunction2D
 
@@ -154,35 +157,14 @@ def equimeasurable(x: StepFunction, y: StepFunction) -> bool:
     return bool(np.all(np.abs(vx - vy) <= VALUE_SNAP) and np.array_equal(mx, my))
 
 
-def _adaptive_simpson(f, a: float, b: float, eps: float, max_depth: int):
-    """Classic adaptive Simpson with Richardson correction.
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 20-point Gauss-Legendre rule on [0, 1], built on first use."""
+    # NumPy loads numpy.polynomial lazily; importing it here keeps it off `import chaoslab`
+    from numpy.polynomial.legendre import leggauss
 
-    Returns (value, error_estimate, converged).
-    """
-
-    def simpson(fa, fm, fb, h):
-        return h / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, eps, depth):
-        m = 0.5 * (a + b)
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = simpson(fa, flm, fm, m - a)
-        right = simpson(fm, frm, fb, b - m)
-        delta = left + right - whole
-        if depth >= max_depth:
-            return left + right + delta / 15.0, abs(delta) / 15.0, False
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0, abs(delta) / 15.0, True
-        lv, le, lc = recurse(a, m, fa, flm, fm, left, eps / 2.0, depth + 1)
-        rv, re, rc = recurse(m, b, fm, frm, fb, right, eps / 2.0, depth + 1)
-        return lv + rv, le + re, lc and rc
-
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(fa, fm, fb, b - a)
-    return recurse(a, b, fa, fm, fb, whole, eps, 0)
+    nodes, weights = leggauss(20)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def log_distribution_L(z: float, rel_tol: float = 1e-9) -> float:
@@ -192,8 +174,13 @@ def log_distribution_L(z: float, rel_tol: float = 1e-9) -> float:
     min(1, e^(1-z/u)), so L(z) = e^(1-z) + e^2 * integral over [1, z] of
     exp(-u - z/u) du.  (Written without the clamp, the integrand would
     overshoot the section measure for u > z and L(1) would exceed 1.)  The
-    finite integral is evaluated by adaptive Simpson to the requested
-    relative tolerance; the region beyond u = z is the exact closed form.
+    substitution u = sqrt(z) e^theta folds both halves of [1, z] onto
+    theta in [0, ln sqrt(z)]; with the peak height taken out, L(z) =
+    e^(1-z) + e^(2 - 2 sqrt z) * integral of 2 sqrt(z) cosh(theta)
+    exp(-4 sqrt(z) sinh^2(theta/2)) dtheta, smooth and peaked at theta = 0.
+    A composite Gauss-Legendre rule doubles its panel count until two
+    successive estimates agree to ``rel_tol`` (never finer than one unit
+    roundoff, which no double can certify).
     """
     if z < 1.0:
         raise ValueError(f"z must be >= 1, got {z}")
@@ -202,59 +189,24 @@ def log_distribution_L(z: float, rel_tol: float = 1e-9) -> float:
     corner = math.exp(1.0 - z)
     if z == 1.0:
         return corner
-
-    def f(u: float) -> float:
-        arg = -u - z / u
-        return math.exp(arg) if arg > -745.0 else 0.0
-
-    # The exponent u + z/u is minimal at u = sqrt(z) and the integrand decays
-    # by hundreds of e-folds toward the endpoints; a single adaptive pass over
-    # such a cliff cannot trust its local error model.  Panels are therefore
-    # cut at level sets of the exponent, a few e-folds apart, so the integrand
-    # varies by a bounded factor inside each panel; panel assembly stops once
-    # the exact remainder bound drops below the requested tolerance (left
-    # remainder <= u e^-g(u), right remainder <= e^-u since g(u) >= u).
-    peak = math.sqrt(z)
-    g_min = 2.0 * peak
-    efolds = 3.0
-    # remainder beyond exponent depth d is at most z * e^-(g_min + d)
-    tail_cut = math.log(z / rel_tol) + 5.0
-
-    def u_at_level(delta: float, right: bool) -> float:
-        s = g_min + delta
-        root = math.sqrt(max(s * s - 4.0 * z, 0.0))
-        return (s + root) / 2.0 if right else (s - root) / 2.0
-
-    panels: list[tuple[float, float]] = []
-    for right, limit in ((False, 1.0), (True, z)):
-        edge = peak
-        delta = efolds
-        while delta <= tail_cut + efolds:
-            nxt = u_at_level(delta, right)
-            nxt = max(nxt, limit) if not right else min(nxt, limit)
-            panels.append((min(edge, nxt), max(edge, nxt)))
-            if nxt == limit:
-                break
-            edge = nxt
-            delta += efolds
-
-    # midpoint pre-pass fixes the scale of the absolute tolerance
-    scale = sum(f(0.5 * (a + b)) * (b - a) for a, b in panels)
-    scale = max(scale, 0.1 * math.exp(max(-2.0 * peak, -745.0)), 1e-300)
-    eps_abs = rel_tol * scale / (2.0 * max(len(panels), 1))
-
-    total, err, converged = 0.0, 0.0, True
-    for a, b in panels:
-        v, e, c = _adaptive_simpson(f, a, b, eps_abs, 60)
-        total += v
-        err += e
-        converged = converged and c
-    result = corner + math.exp(2.0) * total
-    if not converged:
-        achieved = math.exp(2.0) * err / max(abs(result), 1e-300)
-        raise QuadratureError(
-            f"quadrature did not converge: achieved relative tolerance {achieved:.3e}",
-            value=result,
-            achieved_tol=achieved,
-        )
-    return result
+    nodes, weights = _gauss_legendre()
+    root = math.sqrt(z)
+    peak = math.exp(2.0 - 2.0 * root)
+    # the integrand evaluates to 0 once its exponent passes _UNDERFLOW_EFOLDS
+    top = min(0.5 * math.log(z), 2.0 * math.asinh(math.sqrt(_UNDERFLOW_EFOLDS / (4.0 * root))))
+    previous, panels = math.inf, 1
+    while panels <= QUAD_MAX_PANELS:
+        width = top / panels
+        theta = (np.arange(panels)[:, None] + nodes) * width
+        f = 2.0 * root * np.cosh(theta) * np.exp(-4.0 * root * np.sinh(0.5 * theta) ** 2)
+        estimate = width * float((f @ weights).sum())
+        gap = max(abs(estimate - previous), np.finfo(float).eps * estimate)
+        if gap <= rel_tol * estimate:
+            return corner + peak * estimate
+        previous, panels = estimate, 2 * panels
+    achieved = gap / estimate
+    raise QuadratureError(
+        f"quadrature did not reach relative tolerance {rel_tol:.3g}: achieved {achieved:.3e}",
+        value=corner + peak * estimate,
+        achieved_tol=achieved,
+    )

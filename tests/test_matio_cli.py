@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -344,6 +346,18 @@ class TestCliVerify:
         assert "[SKIP] theorem5.inf.n9" in out
         assert "suite theorem5: PASS" in out
 
+    def test_unreachable_quad_tolerance_skips_bracket(self, tmp_path, outdir, capsys):
+        # no double can certify a relative tolerance of 1e-300, so L(z) raises
+        # QuadratureError, recorded as a skip with the error text
+        cfg = tmp_path / "tight.cfg"
+        cfg.write_text("[run]\nquad_rel_tol = 1e-300\n[lemma2]\nz_values = 10000\n")
+        assert cli.main(
+            ["--config", str(cfg), "--out", str(outdir), "verify", "lemma2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "[SKIP] lemma2.bracket.z10000 value=NA bound: quadrature did not reach" in out
+        assert "suite lemma2: PASS" in out
+
 
 class TestCliScaling:
     def test_small_run(self, outdir, capsys):
@@ -418,6 +432,26 @@ class TestConsoleScript:
         target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["chaoslab"]
         module, attr = target.split(":")
         run(["-c", f"import sys; from {module} import {attr}; sys.exit({attr}())"])
+
+
+class TestDeclaredDependencies:
+    def test_src_imports_are_stdlib_or_declared(self):
+        # every top-level module imported anywhere in the package, also inside
+        # functions, must ship with Python or be a declared dependency
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        requirements = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+        declared = {re.match(r"[\w.-]+", r).group().replace("-", "_") for r in requirements}
+        imported = set()
+        for path in Path(chaoslab.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    imported.add(node.module.split(".")[0])
+        assert "numpy" in imported
+        allowed = set(sys.stdlib_module_names) | {"chaoslab"} | declared
+        assert imported - allowed == set()
 
 
 # shrunk scales so that aggregate runs stay fast

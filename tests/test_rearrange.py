@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 
 from chaoslab.chaos import eval_decoupled, eval_undecoupled
 from chaoslab.dyadic import StepFunction1D, StepFunction2D, materialize_1d
+from chaoslab.errors import QuadratureError
 from chaoslab.rearrange import (
     VALUE_SNAP,
     Rearrangement,
@@ -243,3 +249,57 @@ class TestLogTailMeasure:
 
         for z in (2.0, 6.5, 12.0):
             assert log_distribution_L(z) == pytest.approx(oracle(z), rel=1e-9)
+
+    @staticmethod
+    def u_oracle(z):
+        # scipy's quad over u in [1, z], split at the peak u = sqrt(z), with the
+        # peak height e^(-2 sqrt z) factored out so that large z keeps its digits
+        quad = pytest.importorskip("scipy.integrate").quad
+        root = math.sqrt(z)
+        f = lambda u: math.exp(2.0 * root - u - z / u)
+        parts = [quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                 for a, b in ((1.0, root), (root, z))]
+        return math.exp(1.0 - z) + math.exp(2.0 - 2.0 * root) * sum(parts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1.0, max_value=1e4))
+    def test_matches_oracle_to_1e12(self, z):
+        assert log_distribution_L(z) == pytest.approx(self.u_oracle(z), rel=1e-12, abs=0.0)
+
+    # for z near 4e5 quad flags roundoff at epsrel 1e-13, yet its integral still holds
+    # about 1e-13 there (checked against mpmath), and L(z) underflows to 0 anyway
+    @pytest.mark.filterwarnings("ignore:The algorithm does not converge")
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=6.0).map(lambda e: 10.0**e),
+        st.floats(min_value=-323.0, max_value=0.0).map(lambda e: 10.0**e),
+    )
+    def test_returns_or_raises_within_a_second(self, z, rel_tol):
+        t0 = time.perf_counter()
+        try:
+            log_distribution_L(z, rel_tol)
+        except QuadratureError as err:
+            # subnormal results round to a few units of 5e-324
+            assert err.value == pytest.approx(self.u_oracle(z), rel=1e-12, abs=1e-320)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_tolerance_below_roundoff_raises(self):
+        with pytest.raises(QuadratureError) as err:
+            log_distribution_L(1e4, rel_tol=1e-300)
+        assert err.value.achieved_tol >= np.finfo(np.float64).eps
+        assert err.value.value == pytest.approx(self.u_oracle(1e4), rel=1e-12, abs=0.0)
+
+    def test_import_leaves_numpy_polynomial_unloaded(self):
+        # NumPy loads numpy.polynomial lazily; the quadrature nodes are built on first use
+        code = (
+            "import sys, chaoslab;"
+            "print([m for m in sys.modules if m.startswith('numpy.polynomial')])"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
