@@ -82,7 +82,8 @@ def decouple_identity_rhs(b, N: int) -> StepFunction1D:
 
     Sums, over the 2^N subsets D of {1..N}, the polynomial with coefficients (b_ij + b_ji)
     on rows in D and columns outside D, times 2^(1-N); D and its complement give one form,
-    counted twice.  Equals eval_undecoupled(b) in exact arithmetic, bit for bit on integers.
+    counted twice.  Forms come from the sign table, not ``quadratic_form``, so this checks
+    eval_undecoupled(b): equal in exact arithmetic, bit for bit on integers.
     """
     b = as_coefficient_matrix(b)
     if b.shape != (N, N):
@@ -94,10 +95,11 @@ def decouple_identity_rhs(b, N: int) -> StepFunction1D:
             f"enumeration too large: 2^{N} subsets exceeds cap 2^{DECOUPLE_SUBSETS_CAP}"
         )
     a = b + b.T
+    E = full_sign_matrix(N)
     total = np.zeros(2**N, dtype=np.float64)
     for d in range(2 ** (N - 1)):  # the subsets without N; complements transpose the form
         in_d = ((d >> np.arange(N)) & 1).astype(bool)
-        total += quadratic_form(np.where(np.outer(in_d, ~in_d), a, 0.0))
+        total += ((E[:, in_d] @ a[np.ix_(in_d, ~in_d)]) * E[:, ~in_d]).sum(axis=1)
     return StepFunction1D(n=N, values=2.0 ** (2 - N) * total)
 
 

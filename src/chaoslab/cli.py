@@ -10,6 +10,7 @@ so re-running an identical command re-emits byte-identical files.
 from __future__ import annotations
 
 import argparse
+import configparser
 import dataclasses
 import functools
 import hashlib
@@ -342,8 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _effective_config(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
+    except (OSError, ValueError, configparser.Error) as exc:
+        print(f"error: bad config: {' '.join(str(exc).split())}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args, cfg)
@@ -353,10 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

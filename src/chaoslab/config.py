@@ -83,7 +83,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     parser = configparser.ConfigParser()
     parser.read_string(resources.files("chaoslab").joinpath("default.cfg").read_text())
     if path is not None:
-        parser.read_string(Path(path).read_text())
+        parser.read_string(Path(path).read_text(), source=str(path))
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     run = sections["run"]
     return RunConfig(

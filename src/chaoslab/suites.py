@@ -126,8 +126,11 @@ def suite_lemma2(cfg: RunConfig, res: SuiteResult) -> None:
         lower = 0.5 * math.exp(-2.0 * math.sqrt(z) + 2.0)
         upper = 2.0 * math.exp(-math.sqrt(z) + 2.0)
         res.add(f"bracket.z{z:g}", lower <= L <= upper, L, f"[{lower:.6g}, {upper:.6g}]")
-    decreasing = all(a > b for a, b in zip(values, values[1:]))
-    res.add("monotone.decreasing", decreasing, None, "L strictly decreasing on grid")
+    if len(values) < 2:  # a single value would pass vacuously
+        res.skip("monotone.decreasing", f"needs two values of L, got {len(values)}")
+    else:
+        decreasing = all(a > b for a, b in zip(values, values[1:]))
+        res.add("monotone.decreasing", decreasing, None, "L strictly decreasing on grid")
 
 
 def suite_lemma3(cfg: RunConfig, res: SuiteResult) -> None:

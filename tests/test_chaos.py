@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from chaoslab import chaos
 from chaoslab.chaos import (
     apply_signs,
     as_sign_matrix,
@@ -155,7 +156,7 @@ class TestDecouplingIdentity:
         rhs = decouple_identity_rhs(b, b.shape[0])
         assert_atoms_match(rhs.values, sign_table_undecoupled(b), exact)
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 10])
     def test_integer_coefficients_bit_exact(self, n):
         rng = np.random.Generator(np.random.Philox(key=13))
         b = rng.integers(-4, 5, size=(n, n)).astype(float)
@@ -165,6 +166,19 @@ class TestDecouplingIdentity:
     def test_subset_cap(self):
         with pytest.raises(EnumerationCapError):
             decouple_identity_rhs(np.zeros((13, 13)), 13)
+
+    def test_independent_of_quadratic_form(self, monkeypatch):
+        # the right-hand side checks eval_undecoupled, so it must not share its kernel
+        rng = np.random.Generator(np.random.Philox(key=14))
+        b = rng.integers(-4, 5, size=(6, 6)).astype(float)
+        np.fill_diagonal(b, 0.0)
+        lhs = eval_undecoupled(b).values
+
+        def unavailable(_):
+            raise AssertionError("decouple_identity_rhs called quadratic_form")
+
+        monkeypatch.setattr(chaos, "quadratic_form", unavailable)
+        assert np.array_equal(decouple_identity_rhs(b, 6).values, lhs)
 
 
 class TestApplySigns:

@@ -313,11 +313,50 @@ class TestCliWalsh:
         assert run_cli(["walsh", "--k", "7"], outdir) == 3
 
 
+class TestCliExitCodes:
+    @pytest.mark.parametrize(
+        "case, code",
+        [("missing", 2), ("directory", 2), ("parse", 2), ("lp_nan", 2),
+         ("config_value", 2), ("config_header", 2), ("cap", 3)],
+    )
+    def test_one_error_line_no_traceback(self, tmp_path, case, code):
+        good = tmp_path / "a.txt"
+        good.write_text("2 2\n1 1\n1 1\n")
+        bad = tmp_path / "bad.txt"
+        bad.write_text("2 2\n1 zz\n1 1\n")
+        big = tmp_path / "big.txt"
+        big.write_text("25 25\n" + "\n".join(" ".join(["1"] * 25) for _ in range(25)) + "\n")
+        (tmp_path / "value.cfg").write_text("[run]\nseed = x\n")
+        (tmp_path / "header.cfg").write_text("seed = 3\n")
+        args = {
+            "missing": ["supnorm", str(tmp_path / "nope.txt")],
+            "directory": ["supnorm", str(tmp_path)],
+            "parse": ["supnorm", str(bad)],
+            "lp_nan": ["norm", str(good), "--space", "lp:nan"],
+            "config_value": ["--config", str(tmp_path / "value.cfg"), "supnorm", str(good)],
+            "config_header": ["--config", str(tmp_path / "header.cfg"), "supnorm", str(good)],
+            "cap": ["supnorm", str(big), "--mode", "undecoupled"],
+        }[case]
+        package_root = str(Path(chaoslab.__file__).resolve().parents[1])
+        pythonpath = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "chaoslab", "--out", str(tmp_path / "out"), *args],
+            capture_output=True, text=True, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath)),
+        )
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert proc.stdout == ""
+
+
 class TestCliVerify:
     def test_lemma2_passes(self, outdir, capsys):
         assert run_cli(["verify", "lemma2"], outdir) == 0
         out = capsys.readouterr().out
         assert "[PASS] lemma2.bracket.z1" in out
+        assert "[PASS] lemma2.monotone.decreasing" in out
         assert "suite lemma2: PASS" in out
         csv_text = (outdir / "verify-lemma2.csv").read_text()
         assert csv_text.startswith("# config ")
@@ -346,6 +385,14 @@ class TestCliVerify:
         assert "[SKIP] theorem5.inf.n9" in out
         assert "suite theorem5: PASS" in out
 
+    def test_single_z_value_skips_monotone(self, tmp_path, outdir, capsys):
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text("[lemma2]\nz_values = 4\n")
+        assert cli.main(["--config", str(cfg), "--out", str(outdir), "verify", "lemma2"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] lemma2.bracket.z4" in out
+        assert "[SKIP] lemma2.monotone.decreasing value=NA bound: needs two values of L, got 1" in out
+
     def test_unreachable_quad_tolerance_skips_bracket(self, tmp_path, outdir, capsys):
         # no double can certify a relative tolerance of 1e-300, so L(z) raises
         # QuadratureError, recorded as a skip with the error text
@@ -356,6 +403,8 @@ class TestCliVerify:
         ) == 0
         out = capsys.readouterr().out
         assert "[SKIP] lemma2.bracket.z10000 value=NA bound: quadrature did not reach" in out
+        # with no value of L left, monotonicity is not checked, not passed vacuously
+        assert "[SKIP] lemma2.monotone.decreasing" in out
         assert "suite lemma2: PASS" in out
 
 

@@ -119,6 +119,11 @@ class TestLp:
         with pytest.raises(ValueError):
             lp_norm(materialize_1d([1.0]), 0.5)
 
+    def test_nan_q_rejected(self):
+        # NaN compares False with everything, so "q < 1" alone would let it through
+        with pytest.raises(ValueError):
+            lp_norm(materialize_1d([1.0]), math.nan)
+
     def test_works_in_one_copy(self):
         one_copy_check(lp_norm, 4.0)
 
@@ -168,7 +173,7 @@ class TestOrlicz:
 
     @staticmethod
     def _bisection_oracle(r, rel_tol):
-        """The same bisection, with the integral as one allocating expression."""
+        """Reference solver: bracket by doubling and halving, then bisect, on the unscaled law."""
         vals, masses = r.values, r.masses
         if vals[0] == 0.0:
             return 0.0
@@ -239,6 +244,12 @@ class TestOrlicz:
         assert huge == pytest.approx(unit * 1e308, rel=1e-9)
         assert huge == pytest.approx(1.3412e308, rel=1e-4)
 
+    @staticmethod
+    def _integral(r, u):
+        """sum m_k expm1(v_k / u) as one allocating expression, on the unscaled law."""
+        with np.errstate(over="ignore"):
+            return float(np.sum(r.masses * np.expm1(r.values / u)))
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.one_of(
@@ -250,14 +261,30 @@ class TestOrlicz:
             ),
         ),
         st.sampled_from([1e-3, 1.0, 300.0]),
-        # at 1e-15 the bisection ends within ulps of the root, where the
-        # last bit of each integral decides the comparisons
         st.sampled_from([1e-10, 1e-15]),
     )
-    def test_buffered_integral_is_bit_identical(self, x, scale, rel_tol):
+    def test_agrees_with_bisection_oracle(self, x, scale, rel_tol):
         r = rearrangement(x)
         r = Rearrangement(values=r.values * scale, masses=r.masses)
-        assert orlicz_exp_norm(r, rel_tol) == self._bisection_oracle(r, rel_tol)
+        value = orlicz_exp_norm(r, rel_tol)
+        expected = self._bisection_oracle(r, rel_tol)
+        if expected == 0.0:
+            assert value == 0.0
+            return
+        # the oracle itself is only good to rel_tol; at 1e-15 both end within ulps
+        bound = 2.0 * rel_tol if rel_tol == 1e-10 else 1e-14
+        assert abs(value - expected) <= bound * expected
+        # the root property, with an integral independent of the solver
+        assert self._integral(r, value * (1.0 + 1e-8)) <= E - 1.0
+        assert self._integral(r, value * (1.0 - 1e-8)) > E - 1.0
+
+    @pytest.mark.parametrize("k", [0, 1, 10, 60, 500, 1022])
+    def test_fundamental_function_to_ulps(self, k):
+        # one nonzero value: the start bound is the root itself
+        t = math.ldexp(1.0, -k)
+        expected = 1.0 / math.log1p((E - 1.0) / t)
+        value = orlicz_exp_norm(char_rearrangement(t))
+        assert abs(value - expected) <= 4 * math.ulp(expected)
 
 
 class TestMarcinkiewicz:
@@ -427,7 +454,7 @@ class TestParseSpace:
     @pytest.mark.parametrize(
         "bad",
         ["lp:0.5", "marc:0.7", "marc:0", "lorentz:2.5", "lorentz:1",
-         "orlicz-exp:3", "banach:2", "lp"],
+         "orlicz-exp:3", "banach:2", "lp", "lp:nan"],
     )
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
