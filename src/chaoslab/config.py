@@ -11,6 +11,7 @@ snapshot travels with every emitted artifact.
 from __future__ import annotations
 
 import configparser
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -86,7 +87,13 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         parser.read_string(Path(path).read_text(), source=str(path))
     sections = {name: dict(parser.items(name)) for name in parser.sections()}
     run = sections["run"]
-    return RunConfig(
+    cfg = RunConfig(
         **{attr: parse(run[key]) for key, (attr, parse) in _RUN_KEYS.items()},
         sections=sections,
     )
+    # Newton cannot resolve a relative step below the unit roundoff, so it would not stop
+    if not cfg.orlicz_rel_tol >= sys.float_info.epsilon:
+        raise ValueError(
+            f"orlicz_rel_tol must be at least {sys.float_info.epsilon:.3g}, got {cfg.orlicz_rel_tol}"
+        )
+    return cfg

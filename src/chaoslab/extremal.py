@@ -1,14 +1,15 @@
 """Exact sup norms of chaos polynomials and extremal sign-matrix searches.
 
 The sup of |sum a_ij r_i(s) r_j(t)| over the square reduces to scanning sign
-vectors of the s-axis only: for fixed signs eps the best t-signs align every
-column, giving max_eps sum_j |sum_i a_ij eps_i| (negation symmetry pins
-eps_0 = +1).  For +-1 matrices the column sum is n - 2 popcount(eps ^ c_j) on
-the column's bitmask c_j; one kernel, ``_sign_scan``, scores whole stacks of
-such matrices at once and serves the +-1 sup norm, the exhaustive infimum, the
-exact average and the Monte-Carlo average.  Real matrices meet in the middle:
-eps splits into two halves whose contributions are tabulated once (2^ceil(n/2)
-rows at most) and combined pair by pair.
+vectors of one axis only (the shorter): for fixed signs eps the best t-signs
+align every column, giving max_eps sum_j |sum_i a_ij eps_i| (negation symmetry
+pins eps_0 = +1).  Both kernels meet in the middle: eps splits into two halves
+whose contributions are tabulated once (2^ceil(n/2) rows at most) and combined
+pair by pair.  For +-1 matrices the column sum is n - 2 popcount(eps ^ c_j) on
+the column's bitmask c_j, and its half tables are int8; one kernel,
+``_sign_scan``, scores whole stacks of such matrices at once and serves the
++-1 sup norm, the exhaustive infimum, the exact average and the Monte-Carlo
+average.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ THEOREM7_FULL_CAP = 2
 THEOREM7_CORNER_CAP = 4
 
 _CHUNK = 1 << 16
+_SPLIT_MIN = 9
 _RNG_NAME = "philox4x64"
 
 
@@ -53,13 +55,6 @@ class SearchReport:
     rng: str | None = None
 
 
-def _mask_chunks(n: int, size: int = _CHUNK):
-    """Masks of the 2^(n-1) sign vectors with eps_0 = +1 for ``_sign_scan``, ``size`` at a time."""
-    total = 2 ** (n - 1)
-    for start in range(0, total, size):
-        yield np.arange(start, min(start + size, total), dtype=np.uint64) << np.uint64(1)
-
-
 def _column_masks(theta: np.ndarray) -> np.ndarray:
     """Bitmask per column of a +-1 matrix; bit i set where row i is -1."""
     bits = (theta < 0).astype(np.uint64)
@@ -74,50 +69,81 @@ def _bit_fields(fields: int, width: int) -> np.ndarray:
     return (codes[:, None] >> shifts) & np.uint64(2**width - 1)
 
 
+def _half_scores(cols: np.ndarray, masks: np.ndarray, shift: int, width: int) -> np.ndarray:
+    """int8 table width - 2 popcount(mask ^ half), shaped (columns, masks, matrices).
+
+    ``half`` is bits [shift, shift + width) of each mask in ``cols``, a (matrices, columns)
+    block; ``masks`` runs over one half of the sign vectors.  Both are cast to the narrowest
+    unsigned type holding ``width`` bits, so no uint64 table is built.
+    """
+    kind = np.min_scalar_type(2**width - 1)
+    half = ((cols.T >> np.uint64(shift)) & np.uint64(2**width - 1)).astype(kind, order="C")
+    table = np.bitwise_count(half[:, None, :] ^ masks.astype(kind)[:, None]).view(np.int8)
+    table *= -2
+    table += width
+    return table
+
+
 def _sign_scan(cols: np.ndarray, n: int) -> np.ndarray:
     """Decoupled sup norm of each n-row +-1 matrix in a stack of column masks.
 
     ``cols`` is (M, m) uint64, bit i of cols[k, j] set where row i of column j
     of matrix k is -1.  Returns, as int64, max over eps with eps_0 = +1 of
-    sum_j |n - 2 popcount(eps ^ cols[k, j])|.  Column scores accumulate into an
-    int32 (matrices x sign vectors) block of at most ``_CHUNK`` cells, laid out
-    with its longer axis innermost (sign vectors, unless n is small).
+    sum_j |n - 2 popcount(eps ^ cols[k, j])|.
+
+    Meets in the middle as the real scan does: with eps = (l, g) over bits
+    [0, h) and [h, n), popcount(eps ^ c) = popcount(l ^ c_lo) + popcount(g ^ c_hi),
+    so each column score is |L_j[l] + H_j[g]| from two int8 half tables.  A block
+    is (matrices, low masks, high masks) with at most ``_CHUNK`` cells, and column
+    scores accumulate in the narrowest integer type holding n*m.  Below
+    ``_SPLIT_MIN`` rows the high half is empty: a block is then every mask of a
+    run of matrices, scored at once as sum_j |L_j| with the matrices innermost.
     """
-    cols = np.ascontiguousarray(np.asarray(cols, dtype=np.uint64).T)
-    count = cols.shape[1]
-    size = min(2 ** (n - 1), _CHUNK)
-    rows = max(1, _CHUNK // size)
-    axis = 1 if size >= rows else 0  # the sign-vector axis of the block
+    cols = np.asarray(cols, dtype=np.uint64)
+    count, m = cols.shape
+    h = n if n < _SPLIT_MIN else n // 2
+    low_masks = np.arange(0, 2**h, 2, dtype=np.uint64)  # eps_0 = +1
+    high_masks = np.arange(2 ** (n - h), dtype=np.uint64)
+    rows = max(1, min(low_masks.size, _CHUNK // high_masks.size))  # low masks per block
+    mats = max(1, _CHUNK // (rows * high_masks.size))  # matrices per block
+    acc_type = np.int8 if n * m < 2**7 else np.int16 if n * m < 2**15 else np.int32
     best = np.zeros(count, dtype=np.int64)
-    for eps in _mask_chunks(n, size):
-        for start in range(0, count, rows):
-            block = cols[:, start : start + rows]
-            shape = (block.shape[1], eps.size) if axis else (eps.size, block.shape[1])
-            acc = np.zeros(shape, dtype=np.int32)
-            for col in block:
-                pair = (col, eps) if axis else (eps, col)
-                # n - 2 popcount lies in [-n, n], so int8 holds it for n <= 64
-                score = np.bitwise_count(np.bitwise_xor.outer(*pair)).view(np.int8)
-                score *= -2
-                score += n
-                acc += np.abs(score, out=score)
-            view = best[start : start + rows]
-            np.maximum(view, acc.max(axis=axis), out=view)
+    for start in range(0, count, mats):
+        stack = cols[start : start + mats]
+        low = _half_scores(stack, low_masks, 0, h)
+        view = best[start : start + mats]
+        if h == n:  # the high half is empty: each column score is |L_j|
+            view[:] = np.abs(low, out=low).sum(axis=0, dtype=acc_type).max(axis=0)
+            continue
+        # (columns, matrices, high masks): each high row is contiguous in the pair loop
+        high = _half_scores(stack, high_masks, h, n - h).transpose(0, 2, 1).copy()
+        for first in range(0, low_masks.size, rows):
+            block = low[:, first : first + rows]
+            shape = (stack.shape[0], block.shape[1], high_masks.size)
+            acc = np.zeros(shape, dtype=acc_type)
+            tmp = np.empty(shape, dtype=np.int8)
+            for lo, hi in zip(block, high):
+                np.add(lo.T[:, :, None], hi[:, None, :], out=tmp)
+                acc += np.abs(tmp, out=tmp)
+            np.maximum(view, acc.reshape(shape[0], -1).max(axis=1), out=view)
     return best
 
 
 def sup_norm_decoupled(a) -> float:
     """Exact sup norm of the decoupled chaos polynomial with coefficients ``a``.
 
-    Scans 2^(n-1) sign vectors of the row axis; +-1 matrices go through the
-    popcount kernel.  Real matrices meet in the middle: eps = (l, h) over the
-    two row halves has column sums L[l] + H[h], and sum_j |L[l, j] + H[h, j]|
-    accumulates column by column over blocks of at most ``_CHUNK`` pairs.
+    Scans 2^(n-1) sign vectors of the shorter axis (the rows of a square matrix), as
+    max_eps |A^T eps|_1 = max_delta |A delta|_1; +-1 matrices go through ``_sign_scan``.
+    Real matrices meet in the middle: eps = (l, h) over the two row halves has column
+    sums L[l] + H[h], and sum_j |L[l, j] + H[h, j]| accumulates column by column over
+    blocks of at most ``_CHUNK`` pairs.
     """
     a = as_coefficient_matrix(a)
+    if a.shape[0] > a.shape[1]:
+        a = a.T
     n, m = a.shape
     if n > SUP_DECOUPLED_CAP:
-        raise EnumerationCapError(f"row dimension {n} exceeds scan cap {SUP_DECOUPLED_CAP}")
+        raise EnumerationCapError(f"shorter dimension {n} exceeds scan cap {SUP_DECOUPLED_CAP}")
     if np.all(np.abs(a) == 1.0):
         return float(_sign_scan(_column_masks(a)[None, :], n)[0])
     h = max(1, n // 2)

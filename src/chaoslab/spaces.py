@@ -29,6 +29,8 @@ def lp_norm(x: StepFunction, q: float) -> float:
     """Exact Lq norm of a step function; q = inf gives the sup norm.
 
     ``max|x|`` is factored out of the powers, so no q or scale overflows or underflows.
+    The powers are exp(q log v) in place: ``**`` falls into libm pow's slow path when
+    v^q underflows, as it does for most atoms at large q.
     """
     if not q >= 1:  # also rejects NaN
         raise ValueError(f"q must be >= 1, got {q}")
@@ -37,7 +39,10 @@ def lp_norm(x: StepFunction, q: float) -> float:
     if math.isinf(q) or top == 0.0:
         return top
     vals /= top
-    vals **= q
+    with np.errstate(divide="ignore"):
+        np.log(vals, out=vals)  # log 0 = -inf, and exp(-inf) = 0
+    vals *= q
+    np.exp(vals, out=vals)
     return top * float(np.sum(vals) * x.atom_measure) ** (1.0 / q)
 
 

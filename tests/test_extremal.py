@@ -101,7 +101,14 @@ class TestSupNormDecoupled:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            sup_norm_decoupled(np.ones((31, 2)))
+            sup_norm_decoupled(np.ones((31, 31)))
+
+    def test_tall_scans_short_axis(self):
+        # 2^39 row sign vectors would pass the cap; the transpose needs 4
+        a = np.random.Generator(np.random.Philox(key=48)).standard_normal((40, 3))
+        assert abs(sup_norm_decoupled(a) - sup_norm_decoupled(a.T)) <= 1e-12 * sup_norm_decoupled(a.T)
+        theta = np.where(np.random.Generator(np.random.Philox(key=49)).random((26, 3)) < 0.5, -1.0, 1.0)
+        assert sup_norm_decoupled(theta) == sup_norm_decoupled(theta.T) == brute_sup_by_columns(theta)
 
     def test_matches_materialized_sup(self):
         # second route: materialize the full step function and take max |value|
@@ -112,8 +119,24 @@ class TestSupNormDecoupled:
             assert abs(sup_norm_decoupled(a) - direct) <= 1e-12
 
 
+def brute_sign_scan(cols, n):
+    """Oracle for ``_sign_scan``: |S theta|_1 over the sign vectors S with eps_0 = +1, per matrix."""
+    signs = full_sign_matrix(n)[::2]
+    bits = (cols[:, None, :] >> np.arange(n, dtype=np.uint64)[None, :, None]) & np.uint64(1)
+    return np.array([np.abs(signs @ (1.0 - 2.0 * b)).sum(axis=1).max() for b in bits])
+
+
+@st.composite
+def mask_stacks(draw):
+    """(cols, n): up to 40 random column-mask matrices with n in 1..18 rows and 1..20 columns."""
+    n = draw(st.integers(1, 18))
+    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 20)))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**64 - 1))))
+    return rng.integers(0, 2**n, size=shape, dtype=np.uint64), n
+
+
 class TestSignScanKernel:
-    """Every +-1 route through the popcount kernel against GEMM oracles."""
+    """Every +-1 route through the sign-scan kernel against GEMM oracles."""
 
     @settings(max_examples=150, deadline=None)
     @given(sign_matrices(st.integers(1, 10), st.integers(1, 10)))
@@ -156,6 +179,29 @@ class TestSignScanKernel:
         rep = monte_carlo_average(n, samples, seed)
         assert rep.value == float(sups.mean())
         assert rep.stddev == float(sups.std(ddof=1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask_stacks())
+    # the high half is empty: whole blocks of matrices scored at once
+    @example((np.arange(40, dtype=np.uint64).reshape(5, 8) % 128, extremal._SPLIT_MIN - 1))
+    # the smallest split: one block batches all 40 matrices
+    @example((np.arange(120, dtype=np.uint64).reshape(40, 3) * 7 % 256, extremal._SPLIT_MIN))
+    # 2^16 pairs per matrix: the blocks split one matrix's low masks
+    @example((np.arange(36, dtype=np.uint64).reshape(3, 12) * 4099 % 2**17, 17))
+    def test_stacks_match_brute(self, case):
+        cols, n = case
+        assert np.array_equal(extremal._sign_scan(cols, n), brute_sign_scan(cols, n))
+
+    def test_sums_past_each_accumulator(self):
+        # sups of 128 overflow int8 and sups above 32767 int16, in the small-n path and the split
+        all_plus = np.zeros((1, 32), dtype=np.uint64)
+        assert extremal._sign_scan(all_plus, 4)[0] == extremal._sign_scan(all_plus[:, :8], 16)[0] == 128
+        assert sup_norm_decoupled(np.ones((2, 20000))) == 40000
+        rng = np.random.Generator(np.random.Philox(key=53))
+        theta = np.where(rng.random((9, 4000)) < 0.02, -1.0, 1.0)
+        want = float(np.abs(full_sign_matrix(9) @ theta).sum(axis=1).max())
+        assert want > 2**15
+        assert sup_norm_decoupled(theta) == want
 
 
 @st.composite

@@ -317,7 +317,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "case, code",
         [("missing", 2), ("directory", 2), ("parse", 2), ("lp_nan", 2),
-         ("config_value", 2), ("config_header", 2), ("cap", 3)],
+         ("config_value", 2), ("config_header", 2), ("orlicz_tol", 2), ("cap", 3)],
     )
     def test_one_error_line_no_traceback(self, tmp_path, case, code):
         good = tmp_path / "a.txt"
@@ -328,6 +328,7 @@ class TestCliExitCodes:
         big.write_text("25 25\n" + "\n".join(" ".join(["1"] * 25) for _ in range(25)) + "\n")
         (tmp_path / "value.cfg").write_text("[run]\nseed = x\n")
         (tmp_path / "header.cfg").write_text("seed = 3\n")
+        (tmp_path / "tol.cfg").write_text("[run]\norlicz_rel_tol = 1e-17\n")
         args = {
             "missing": ["supnorm", str(tmp_path / "nope.txt")],
             "directory": ["supnorm", str(tmp_path)],
@@ -335,6 +336,8 @@ class TestCliExitCodes:
             "lp_nan": ["norm", str(good), "--space", "lp:nan"],
             "config_value": ["--config", str(tmp_path / "value.cfg"), "supnorm", str(good)],
             "config_header": ["--config", str(tmp_path / "header.cfg"), "supnorm", str(good)],
+            "orlicz_tol": ["--config", str(tmp_path / "tol.cfg"), "norm", str(good),
+                           "--space", "orlicz-exp"],
             "cap": ["supnorm", str(big), "--mode", "undecoupled"],
         }[case]
         package_root = str(Path(chaoslab.__file__).resolve().parents[1])

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab.chaos import eval_decoupled
@@ -126,6 +127,26 @@ class TestLp:
 
     def test_works_in_one_copy(self):
         one_copy_check(lp_norm, 4.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 8).flatmap(
+            lambda bits: st.lists(st.sampled_from([0, 1, -1, 4, -9, 16, 25, -25]),
+                                  min_size=2**bits, max_size=2**bits)
+        ),
+        st.sampled_from([1, 1.5, 4, 80, 400]),
+    )
+    @example([25] + [1] * 255, 400)
+    def test_matches_exact_fractions(self, values, q):
+        # the values are squares, so |v|^1.5 = |v| isqrt|v| is an integer too
+        if not any(values):
+            return
+        x = StepFunction1D(n=int(math.log2(len(values))), values=np.array(values, dtype=float))
+        power = (lambda v: v * math.isqrt(v)) if q == 1.5 else (lambda v: v**q)
+        top = max(abs(v) for v in values)
+        mean = Fraction(sum(power(abs(v)) for v in values), power(top) * len(values))
+        want = top * float(mean) ** (1.0 / q)
+        assert abs(lp_norm(x, q) - want) <= 1e-13 * want
 
 
 class TestExpMoment:
