@@ -48,24 +48,47 @@ def _check_bits(total: int, cap: int, what: str) -> None:
         )
 
 
+class _DecoupledChaos(StepFunction2D):
+    """eps^T A delta, odd in eps and in delta: the block eps_n = delta_m = +1 carries |x|'s law."""
+
+    def law_atoms(self) -> tuple[np.ndarray, float]:
+        hn, hm = 2 ** (self.n - 1), 2 ** (self.m - 1)
+        return self.values[:hn, :hm], 4.0 * self.atom_measure
+
+
+class _UndecoupledChaos(StepFunction1D):
+    """eps^T B eps, even in eps: the half eps_n = +1 carries |x|'s law."""
+
+    def law_atoms(self) -> tuple[np.ndarray, float]:
+        return self.values[: 2 ** (self.n - 1)], 2.0 * self.atom_measure
+
+
 def eval_decoupled(a, max_bits: int = MAX_BITS_2D) -> StepFunction2D:
     """Step function of sum(a_ij * r_i(s) * r_j(t)) on the square.
 
-    Value at the mask pair (e, d) is eps^T A delta; computed exactly for all
-    2^(n+m) sign pairs.
+    Value at the mask pair (e, d) is eps^T A delta, for all 2^(n+m) sign pairs.  Only the
+    quarter with eps_n = delta_m = +1 (masks below 2^(n-1) and 2^(m-1)) is a matrix product;
+    complementing a mask negates its sign vector and maps mask k to 2^n - 1 - k, so the other
+    three blocks are its negated mirror images, exact by construction.  The result reads its
+    law (``law_atoms``) from that quarter alone, at four times the atom measure.
     """
     a = as_coefficient_matrix(a)
     n, m = a.shape
     _check_bits(n + m, max_bits, f"{n}x{m} decoupled evaluation")
-    E = full_sign_matrix(n)
-    D = full_sign_matrix(m)
-    return StepFunction2D(n=n, m=m, values=E @ a @ D.T)
+    hn, hm = 2 ** (n - 1), 2 ** (m - 1)
+    values = np.empty((2 * hn, 2 * hm))
+    np.matmul(full_sign_matrix(n)[:hn] @ a, full_sign_matrix(m)[:hm].T, out=values[:hn, :hm])
+    np.negative(values[:hn, hm - 1 :: -1], out=values[:hn, hm:])
+    np.negative(values[hn - 1 :: -1], out=values[hn:])
+    return _DecoupledChaos(n=n, m=m, values=values)
 
 
 def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
     """Step function of sum(b_ij * r_i(t) * r_j(t)), i != j, on the interval.
 
-    The coefficient matrix must be square with an explicitly zero diagonal.
+    The coefficient matrix must be square with an explicitly zero diagonal.  The form is
+    even and ``quadratic_form`` gives mirrored masks equal values bit for bit, so the result
+    reads its law from the half eps_n = +1 at twice the atom measure.
     """
     b = as_coefficient_matrix(b)
     n, m = b.shape
@@ -74,7 +97,7 @@ def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
     if np.any(np.diagonal(b) != 0.0):
         raise ValueError("diagonal must vanish")
     _check_bits(n, max_bits, f"{n}x{n} undecoupled evaluation")
-    return StepFunction1D(n=n, values=quadratic_form(b))
+    return _UndecoupledChaos(n=n, values=quadratic_form(b))
 
 
 def decouple_identity_rhs(b, N: int) -> StepFunction1D:

@@ -158,6 +158,10 @@ class StepFunction1D:
     def flat_values(self) -> np.ndarray:
         return self.values
 
+    def law_atoms(self) -> tuple[np.ndarray, float]:
+        """Atoms whose |values| carry the law of |x| (any shape), and the measure of each."""
+        return self.flat_values(), self.atom_measure
+
     def integral(self) -> float:
         """Exact integral over the interval."""
         return float(self.values.sum()) * self.atom_measure
@@ -184,6 +188,10 @@ class StepFunction2D:
 
     def flat_values(self) -> np.ndarray:
         return self.values.reshape(-1)
+
+    def law_atoms(self) -> tuple[np.ndarray, float]:
+        """Atoms whose |values| carry the law of |x| (any shape), and the measure of each."""
+        return self.flat_values(), self.atom_measure
 
     def integral(self) -> float:
         return float(self.values.sum()) * self.atom_measure

@@ -62,11 +62,17 @@ def _column_masks(theta: np.ndarray) -> np.ndarray:
     return bits.T @ weights
 
 
-def _bit_fields(fields: int, width: int) -> np.ndarray:
-    """All 2^(fields*width) codes split into ``fields`` masks of ``width`` bits each."""
+def _bit_fields(fields: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
+    """All 2^(fields*width) codes split into ``fields`` masks of ``width`` bits each.
+
+    Written column by column into ``out``, a (codes, fields) uint64 array or view, if given.
+    """
     codes = np.arange(2 ** (fields * width), dtype=np.uint64)
-    shifts = np.arange(fields, dtype=np.uint64) * np.uint64(width)
-    return (codes[:, None] >> shifts) & np.uint64(2**width - 1)
+    if out is None:
+        out = np.empty((codes.size, fields), dtype=np.uint64)
+    for f in range(fields):
+        np.bitwise_and(codes >> np.uint64(f * width), np.uint64(2**width - 1), out=out[:, f])
+    return out
 
 
 def _half_scores(cols: np.ndarray, masks: np.ndarray, shift: int, width: int) -> np.ndarray:
@@ -225,20 +231,21 @@ def exhaustive_inf(n: int, symmetric: bool = False) -> SearchReport:
     t0 = time.perf_counter()
     if not symmetric:
         # column 0 is all +1 (mask 0); row 0 is +1, so inner masks shift up one bit
-        inner = _bit_fields(n - 1, n - 1) << np.uint64(1)
-        cols = np.hstack([np.zeros((inner.shape[0], 1), dtype=np.uint64), inner])
+        cols = np.zeros((2 ** ((n - 1) ** 2), n), dtype=np.uint64)
+        _bit_fields(n - 1, n - 1, out=cols[:, 1:])
+        cols[:, 1:] <<= np.uint64(1)
         value = float(_sign_scan(cols, n).min())
         samples = int(cols.shape[0])
     else:
+        # theta's off-diagonal bits weigh 2 eps_i eps_j and its diagonal bits 1; the sums
+        # are integers, so the doubling pass over all theta is exact
         i, j = np.triu_indices(n, 1)
         eps = full_sign_matrix(n)[::2]  # (E, n), first sign +1
-        off = eps[:, i] * eps[:, j]
-        coeff = full_sign_matrix(i.size + n)
-        theta_off = coeff[:, : i.size]
-        theta_diag = coeff[:, i.size:]
-        quad = 2.0 * theta_off @ off.T + theta_diag.sum(axis=1, keepdims=True)
-        value = float(np.abs(quad).max(axis=1).min())
-        samples = int(coeff.shape[0])
+        weights = np.vstack([2.0 * (eps[:, i] * eps[:, j]).T, np.ones((n, eps.shape[0]))])
+        quad = linear_forms(weights)
+        np.abs(quad, out=quad)
+        value = float(quad.max(axis=1).min())
+        samples = int(quad.shape[0])
     return SearchReport(
         n=n,
         mode="exhaustive",

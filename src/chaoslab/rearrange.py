@@ -2,8 +2,12 @@
 
 All step functions in this package take finitely many values on equal-weight
 atoms, so distributions and rearrangements are computed exactly by one sort of
-|x| and a diff of neighbouring values.  A value is snapped into a step when it
-lies within ``VALUE_SNAP`` of the step's first value, to absorb floating-point
+|x| and a diff of neighbouring values.  The sort covers only the atoms that
+``law_atoms`` names: a quarter of them for ``eval_decoupled`` (|x| is even in
+each axis's signs) and half for ``eval_undecoupled`` (x itself is even), each
+standing for 4 or 2 atoms; this is exact because the other atoms hold exact
+negations or copies of theirs.  A value is snapped into a step when it lies
+within ``VALUE_SNAP`` of the step's first value, to absorb floating-point
 noise; in-scope functions only take values that are small signed sums of
 coefficients, so genuinely distinct values never collide.
 """
@@ -21,6 +25,7 @@ from .errors import QuadratureError
 
 VALUE_SNAP = 1e-12
 QUAD_MAX_PANELS = 4096
+_DROP_BLOCK = 1 << 14
 _UNDERFLOW_EFOLDS = 750.0  # exp(-750) is 0 in double precision
 
 StepFunction = StepFunction1D | StepFunction2D
@@ -102,30 +107,47 @@ class Distribution:
 def _sorted_steps(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     """Distinct |values| (descending) with exact masses, snap-merged.
 
-    One in-place sort of |x|, read backwards; a step starts wherever the
-    descending values drop by more than ``VALUE_SNAP``.  Each step is anchored
-    at its first (largest) value and holds exactly the values within
-    ``VALUE_SNAP`` of that anchor, so a run of small gaps that spans more than
-    ``VALUE_SNAP`` in total is split again from its anchor.
+    One in-place sort of the |values| of ``x.law_atoms()``, read backwards; a step
+    starts wherever the descending values drop by more than ``VALUE_SNAP``.  Each
+    step is anchored at its first (largest) value and holds exactly the values
+    within ``VALUE_SNAP`` of that anchor, so a run of small gaps that spans more
+    than ``VALUE_SNAP`` in total is split again from its anchor.  Masses count
+    atoms at the weight ``law_atoms`` gives them: the chaos's representative
+    quarter or half has the same distinct values as all atoms, each repeated
+    4 or 2 times less, so steps and masses are the same bit for bit.
     """
-    vals = np.abs(x.flat_values())
+    atoms, weight = x.law_atoms()
+    vals = np.abs(atoms).reshape(-1)
     vals.sort()
     vals = vals[::-1]
-    starts = np.flatnonzero(vals[:-1] - vals[1:] > VALUE_SNAP) + 1
-    starts = np.concatenate([[0], starts])
-    ends = np.append(starts[1:], vals.size)
-    # anchor - v grows along a descending run, so each re-split is a searchsorted
-    for w in np.flatnonzero(vals[starts] - vals[ends - 1] > VALUE_SNAP)[::-1]:
-        cuts = []
-        k, end = int(starts[w]), int(ends[w])
+    # the drops go ``_DROP_BLOCK`` at a time, so no temporary is as long as vals
+    new = np.ones(vals.size, dtype=bool)
+    for k in range(0, vals.size - 1, _DROP_BLOCK):
+        run = vals[k : k + _DROP_BLOCK + 1]
+        np.greater(run[:-1] - run[1:], VALUE_SNAP, out=new[k + 1 : k + run.size])
+    starts = np.flatnonzero(new)
+    values = vals[starts]
+    # a step whose last value lies more than VALUE_SNAP below its anchor is split again;
+    # anchor - v grows along a descending run, so each cut is a searchsorted, marked in new
+    lasts = vals[np.append(new[1:], True)]
+    wide = np.flatnonzero(np.subtract(values, lasts, out=lasts) > VALUE_SNAP)
+    for w in wide.tolist():
+        k = int(starts[w])
+        end = int(starts[w + 1]) if w + 1 < starts.size else vals.size
         while True:
             k += int(np.searchsorted(vals[k] - vals[k:end], VALUE_SNAP, side="right"))
             if k == end:
                 break
-            cuts.append(k)
-        starts = np.insert(starts, w + 1, cuts)
-    ends = np.append(starts[1:], vals.size)
-    return vals[starts], (ends - starts) * x.atom_measure
+            new[k] = True
+    if wide.size:
+        starts = np.flatnonzero(new)
+        values = vals[starts]
+    # each step-sized temporary is a fresh allocation, so the masses are written in place
+    masses = np.empty(starts.size)
+    np.subtract(starts[1:], starts[:-1], out=masses[:-1])
+    masses[-1] = vals.size - starts[-1]
+    masses *= weight
+    return values, masses
 
 
 def rearrangement(x: StepFunction) -> Rearrangement:

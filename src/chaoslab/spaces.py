@@ -28,13 +28,15 @@ _ORLICZ_MAX_STEPS = 100  # a guard: from its start bound Newton takes under 10 s
 def lp_norm(x: StepFunction, q: float) -> float:
     """Exact Lq norm of a step function; q = inf gives the sup norm.
 
-    ``max|x|`` is factored out of the powers, so no q or scale overflows or underflows.
-    The powers are exp(q log v) in place: ``**`` falls into libm pow's slow path when
-    v^q underflows, as it does for most atoms at large q.
+    Sums over the atoms of ``x.law_atoms()``.  ``max|x|`` is factored out of the powers,
+    so no q or scale overflows or underflows.  The powers are exp(q log v) in place:
+    ``**`` falls into libm pow's slow path when v^q underflows, as it does for most atoms
+    at large q.
     """
     if not q >= 1:  # also rejects NaN
         raise ValueError(f"q must be >= 1, got {q}")
-    vals = np.abs(x.flat_values())
+    atoms, weight = x.law_atoms()
+    vals = np.abs(atoms)
     top = float(vals.max())
     if math.isinf(q) or top == 0.0:
         return top
@@ -43,20 +45,21 @@ def lp_norm(x: StepFunction, q: float) -> float:
         np.log(vals, out=vals)  # log 0 = -inf, and exp(-inf) = 0
     vals *= q
     np.exp(vals, out=vals)
-    return top * float(np.sum(vals) * x.atom_measure) ** (1.0 / q)
+    return top * float(np.sum(vals) * weight) ** (1.0 / q)
 
 
 def exp_moment(x: StepFunction, u: float) -> float:
-    """Exact integral of exp(u|x|) - 1 over the sample space.
+    """Exact integral of exp(u|x|) - 1 over the sample space, summed over ``x.law_atoms()``.
 
     Evaluated in log space so that large exponents degrade to inf instead of
     raising; u * max|x| beyond ~709 + log(weight) genuinely overflows a double.
     """
     if u <= 0:
         raise ValueError(f"u must be positive, got {u}")
-    exponents = np.abs(x.flat_values())  # an owned copy, worked in place
+    atoms, weight = x.law_atoms()
+    exponents = np.abs(atoms)  # an owned copy, worked in place
     exponents *= u
-    exponents += math.log(x.atom_measure)
+    exponents += math.log(weight)
     peak = float(exponents.max())
     exponents -= peak
     log_sum = peak + math.log(float(np.sum(np.exp(exponents, out=exponents))))

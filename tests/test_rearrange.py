@@ -206,6 +206,19 @@ class TestSnapMerge:
         assert np.array_equal(r.masses, masses)
         assert r.values.size == 24 + 14  # the chain splits into steps of 3, 3, ..., 1
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_runs_across_drop_blocks(self, seed):
+        # 2^15 atoms: drops are cut in blocks of 2^14 sorted values, and a sub-VALUE_SNAP
+        # chain with exact ties (steps 0, 0.3 or 0.9 VALUE_SNAP) spans the seam between them
+        rng = np.random.default_rng(seed)
+        steps = rng.choice([0.0, 0.3, 0.9], 12000) * VALUE_SNAP
+        vals = np.concatenate([np.full(10000, 3.0), 2.0 + np.cumsum(steps), np.ones(2**15 - 22000)])
+        x = StepFunction1D(n=15, values=rng.permutation(vals) * rng.choice([-1.0, 1.0], 2**15))
+        values, masses = anchor_merge_oracle(x)
+        r = rearrangement(x)
+        assert np.array_equal(r.values, values)
+        assert np.array_equal(r.masses, masses)
+
 
 class TestLogTailMeasure:
     # brackets are the two-sided exponential estimates; the expected values
