@@ -1,15 +1,14 @@
 """Exact sup norms of chaos polynomials and extremal sign-matrix searches.
 
-The sup of |sum a_ij r_i(s) r_j(t)| over the square reduces to scanning sign
-vectors of one axis only (the shorter): for fixed signs eps the best t-signs
-align every column, giving max_eps sum_j |sum_i a_ij eps_i| (negation symmetry
-pins eps_0 = +1).  Both kernels meet in the middle: eps splits into two halves
-whose contributions are tabulated once (2^ceil(n/2) rows at most) and combined
-pair by pair.  For +-1 matrices the column sum is n - 2 popcount(eps ^ c_j) on
-the column's bitmask c_j, and its half tables are int8; one kernel,
-``_sign_scan``, scores whole stacks of such matrices at once and serves the
-+-1 sup norm, the exhaustive infimum, the exact average and the Monte-Carlo
-average.
+The sup of |sum a_ij r_i(s) r_j(t)| over the square reduces to scanning sign vectors of
+one axis only (the shorter): for fixed signs eps the best t-signs align every column,
+giving max_eps sum_j |sum_i a_ij eps_i| (negation symmetry pins eps_0 = +1).  Both scans
+meet in the middle: eps splits into two halves whose contributions are tabulated once
+(2^ceil(n/2) rows at most) and combined pair by pair, in blocks of at most ``_CHUNK``
+bytes.  One pair kernel, ``_pair_max``, scores every decoupled scan: a real matrix, a +-1
+matrix (whose half sums are small integers, so its tables are int8) and, through
+``_sign_scan``, stacks of +-1 matrices given as column bitmasks, whose column sums are
+n - 2 popcount(eps ^ c_j); the stacks serve the exhaustive infimum and both averages.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .chaos import as_coefficient_matrix, eval_decoupled
 from .dyadic import full_sign_matrix, linear_forms, quadratic_form
 from .errors import EnumerationCapError
-from .rearrange import Rearrangement, rearrangement
+from .rearrange import rearrangement
 from .spaces import marcinkiewicz_norm, phi_eps, quasinorm_phi_eps
 
 SUP_DECOUPLED_CAP = 30
@@ -36,8 +35,7 @@ SIDON_K_CAP = 4
 THEOREM7_FULL_CAP = 2
 THEOREM7_CORNER_CAP = 4
 
-_CHUNK = 1 << 16
-_SPLIT_MIN = 9
+_CHUNK = 1 << 19  # bytes per block of a pair scan
 _RNG_NAME = "philox4x64"
 
 
@@ -55,13 +53,6 @@ class SearchReport:
     rng: str | None = None
 
 
-def _column_masks(theta: np.ndarray) -> np.ndarray:
-    """Bitmask per column of a +-1 matrix; bit i set where row i is -1."""
-    bits = (theta < 0).astype(np.uint64)
-    weights = np.uint64(1) << np.arange(theta.shape[0], dtype=np.uint64)
-    return bits.T @ weights
-
-
 def _bit_fields(fields: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
     """All 2^(fields*width) codes split into ``fields`` masks of ``width`` bits each.
 
@@ -76,18 +67,50 @@ def _bit_fields(fields: int, width: int, out: np.ndarray | None = None) -> np.nd
 
 
 def _half_scores(cols: np.ndarray, masks: np.ndarray, shift: int, width: int) -> np.ndarray:
-    """int8 table width - 2 popcount(mask ^ half), shaped (columns, masks, matrices).
+    """int8 table width - 2 popcount(mask ^ half), (columns, matrices, masks), matrices innermost.
 
-    ``half`` is bits [shift, shift + width) of each mask in ``cols``, a (matrices, columns)
-    block; ``masks`` runs over one half of the sign vectors.  Both are cast to the narrowest
-    unsigned type holding ``width`` bits, so no uint64 table is built.
+    ``half`` is bits [shift, shift + width) of each mask in ``cols``, a (columns, matrices)
+    block, cast to the type of ``masks``, one half of the sign vectors in ``width`` bits.
     """
-    kind = np.min_scalar_type(2**width - 1)
-    half = ((cols.T >> np.uint64(shift)) & np.uint64(2**width - 1)).astype(kind, order="C")
-    table = np.bitwise_count(half[:, None, :] ^ masks.astype(kind)[:, None]).view(np.int8)
+    half = ((cols >> shift) & (2**width - 1)).astype(masks.dtype)
+    table = np.bitwise_count(half[:, None, :] ^ masks[:, None]).view(np.int8)
     table *= -2
     table += width
-    return table
+    return table.transpose(0, 2, 1)
+
+
+def _pair_max(low: np.ndarray, high: np.ndarray, acc_type) -> np.ndarray:
+    """Per matrix k, the max over pairs (l, g) of sum_j |low[j, k, l] + high[j, k, g]|.
+
+    ``low`` and ``high`` are (columns, matrices, rows) half tables of one dtype.  A block pairs
+    a run of matrices and low rows with every high row in one ``np.add`` over all columns of
+    at most ``_CHUNK`` bytes, whose ``abs`` is summed over the columns in order in ``acc_type``.
+    """
+    cols, count, lrows = low.shape
+    hrows = high.shape[2]
+    cells = max(1, _CHUNK // (cols * low.itemsize))  # (matrix, low row, high row) cells
+    rows = max(1, min(lrows, cells // hrows))
+    mats = max(1, min(count, cells // (rows * hrows)))
+    if mats < hrows:  # a block follows the tables' memory order: put its longer axis innermost
+        high = np.ascontiguousarray(high)
+    best = np.zeros(count, dtype=acc_type)
+    inner = max(mats, hrows)  # the length of a block's innermost axis
+    # NumPy buffers a broadcast add whose rows are shorter than its buffer, copying every
+    # operand; rows of 1 KiB and more are added faster in place, so the buffer is cut to one
+    saved = np.getbufsize()
+    if inner * low.itemsize >= 1024:
+        np.setbufsize(min(inner // 16 * 16, saved))  # a multiple of 16
+    try:
+        for start in range(0, count, mats):
+            hi = high[:, start : start + mats, None, :]
+            view = best[start : start + mats]
+            for first in range(0, lrows, rows):
+                block = np.add(low[:, start : start + mats, first : first + rows, None], hi)
+                scores = np.add.reduce(np.abs(block, out=block), axis=0, dtype=acc_type)
+                np.maximum(view, np.maximum.reduce(scores, axis=(1, 2)), out=view)
+    finally:
+        np.setbufsize(saved)
+    return best
 
 
 def _sign_scan(cols: np.ndarray, n: int) -> np.ndarray:
@@ -97,41 +120,24 @@ def _sign_scan(cols: np.ndarray, n: int) -> np.ndarray:
     of matrix k is -1.  Returns, as int64, max over eps with eps_0 = +1 of
     sum_j |n - 2 popcount(eps ^ cols[k, j])|.
 
-    Meets in the middle as the real scan does: with eps = (l, g) over bits
-    [0, h) and [h, n), popcount(eps ^ c) = popcount(l ^ c_lo) + popcount(g ^ c_hi),
-    so each column score is |L_j[l] + H_j[g]| from two int8 half tables.  A block
-    is (matrices, low masks, high masks) with at most ``_CHUNK`` cells, and column
-    scores accumulate in the narrowest integer type holding n*m.  Below
-    ``_SPLIT_MIN`` rows the high half is empty: a block is then every mask of a
-    run of matrices, scored at once as sum_j |L_j| with the matrices innermost.
+    Meets in the middle as ``sup_norm_decoupled`` does: with eps = (l, g) over bits [0, h)
+    and [h, n), popcount(eps ^ c) = popcount(l ^ c_lo) + popcount(g ^ c_hi), so each column
+    score is |L_j[l] + H_j[g]| from two int8 half tables, built for runs of matrices whose
+    high table (the larger) fills at most ``_CHUNK`` bytes and paired by ``_pair_max``.
     """
-    cols = np.asarray(cols, dtype=np.uint64)
     count, m = cols.shape
-    h = n if n < _SPLIT_MIN else n // 2
-    low_masks = np.arange(0, 2**h, 2, dtype=np.uint64)  # eps_0 = +1
-    high_masks = np.arange(2 ** (n - h), dtype=np.uint64)
-    rows = max(1, min(low_masks.size, _CHUNK // high_masks.size))  # low masks per block
-    mats = max(1, _CHUNK // (rows * high_masks.size))  # matrices per block
-    acc_type = np.int8 if n * m < 2**7 else np.int16 if n * m < 2**15 else np.int32
-    best = np.zeros(count, dtype=np.int64)
-    for start in range(0, count, mats):
-        stack = cols[start : start + mats]
+    h = n // 2
+    low_masks = np.arange(0, 2**h, 2, dtype=np.min_scalar_type(2**h - 1))  # eps_0 = +1 if n > 1
+    high_masks = np.arange(2 ** (n - h), dtype=np.min_scalar_type(2 ** (n - h) - 1))
+    run = max(1, _CHUNK // (m * high_masks.size))
+    acc_type = np.min_scalar_type(-n * m - 1)  # signed, holding every score up to n m
+    best = np.empty(count, dtype=np.int64)
+    for start in range(0, count, run):
+        # (columns, matrices), cast once to the narrowest type holding n bits
+        stack = np.ascontiguousarray(cols[start : start + run].T, np.min_scalar_type(2**n - 1))
         low = _half_scores(stack, low_masks, 0, h)
-        view = best[start : start + mats]
-        if h == n:  # the high half is empty: each column score is |L_j|
-            view[:] = np.abs(low, out=low).sum(axis=0, dtype=acc_type).max(axis=0)
-            continue
-        # (columns, matrices, high masks): each high row is contiguous in the pair loop
-        high = _half_scores(stack, high_masks, h, n - h).transpose(0, 2, 1).copy()
-        for first in range(0, low_masks.size, rows):
-            block = low[:, first : first + rows]
-            shape = (stack.shape[0], block.shape[1], high_masks.size)
-            acc = np.zeros(shape, dtype=acc_type)
-            tmp = np.empty(shape, dtype=np.int8)
-            for lo, hi in zip(block, high):
-                np.add(lo.T[:, :, None], hi[:, None, :], out=tmp)
-                acc += np.abs(tmp, out=tmp)
-            np.maximum(view, acc.reshape(shape[0], -1).max(axis=1), out=view)
+        high = _half_scores(stack, high_masks, h, n - h)
+        best[start : start + run] = _pair_max(low, high, acc_type)
     return best
 
 
@@ -139,10 +145,10 @@ def sup_norm_decoupled(a) -> float:
     """Exact sup norm of the decoupled chaos polynomial with coefficients ``a``.
 
     Scans 2^(n-1) sign vectors of the shorter axis (the rows of a square matrix), as
-    max_eps |A^T eps|_1 = max_delta |A delta|_1; +-1 matrices go through ``_sign_scan``.
-    Real matrices meet in the middle: eps = (l, h) over the two row halves has column
-    sums L[l] + H[h], and sum_j |L[l, j] + H[h, j]| accumulates column by column over
-    blocks of at most ``_CHUNK`` pairs.
+    max_eps |A^T eps|_1 = max_delta |A delta|_1, meeting in the middle: eps = (l, g)
+    over the two row halves has column sums L[l] + H[g], and ``_pair_max`` scores
+    sum_j |L[l, j] + H[g, j]| over every pair.  The half sums of a +-1 matrix are
+    integers of at most 15 in magnitude, so its tables are int8.
     """
     a = as_coefficient_matrix(a)
     if a.shape[0] > a.shape[1]:
@@ -150,22 +156,14 @@ def sup_norm_decoupled(a) -> float:
     n, m = a.shape
     if n > SUP_DECOUPLED_CAP:
         raise EnumerationCapError(f"shorter dimension {n} exceeds scan cap {SUP_DECOUPLED_CAP}")
-    if np.all(np.abs(a) == 1.0):
-        return float(_sign_scan(_column_masks(a)[None, :], n)[0])
-    h = max(1, n // 2)
-    # column-major, so each table column is contiguous; for n = 1, H is one zero row
-    low = np.asfortranarray(linear_forms(a[:h])[::2])
-    high = np.asfortranarray(linear_forms(a[h:]))
-    rows = max(1, _CHUNK // high.shape[0])
-    best = 0.0
-    for start in range(0, low.shape[0], rows):
-        block = low[start : start + rows]
-        acc = np.zeros((block.shape[0], high.shape[0]))
-        tmp = np.empty_like(acc)
-        for j in range(m):
-            acc += np.abs(np.add.outer(block[:, j], high[:, j], out=tmp), out=tmp)
-        best = max(best, float(acc.max()))
-    return best
+    # (columns, 1, rows), each column contiguous; for n = 1 the low half is one zero row,
+    # so the high half has two rows or more and NumPy sums blocks column by column, not pairwise
+    h = n // 2
+    signs = np.all(np.abs(a) == 1.0)
+    kind, acc_type = (np.int8, np.min_scalar_type(-n * m - 1)) if signs else (float, float)
+    low = np.ascontiguousarray(linear_forms(a[:h])[::2].T, dtype=kind)[:, None]
+    high = np.ascontiguousarray(linear_forms(a[h:]).T, dtype=kind)[:, None]
+    return float(_pair_max(low, high, acc_type)[0])
 
 
 def sup_norm_undecoupled(b) -> float:
@@ -173,7 +171,7 @@ def sup_norm_undecoupled(b) -> float:
 
     Meets in the middle: for eps = (u, w), eps^T B eps = u^T B11 u + w^T B22 w
     + u (B12 + B21^T) w, so the half forms are vectors and the cross term is
-    one matrix product per block of at most ``_CHUNK`` pairs (u_0 = +1, as
+    one matrix product per block of at most ``_CHUNK`` bytes (u_0 = +1, as
     the form is even).
     """
     b = as_coefficient_matrix(b)
@@ -187,7 +185,7 @@ def sup_norm_undecoupled(b) -> float:
     qu = quadratic_form(b[:h, :h])[::2]
     qw = quadratic_form(b[h:, h:])
     cross = linear_forms(b[:h, h:] + b[h:, :h].T)[::2]
-    rows = max(1, _CHUNK // w.shape[0])
+    rows = max(1, _CHUNK // (8 * w.shape[0]))  # low rows per block
     best = 0.0
     for start in range(0, qu.size, rows):
         quad = cross[start : start + rows] @ w.T
@@ -358,6 +356,8 @@ def theorem7_witness(eps: float, K: int, mode: str = "full") -> Theorem7Report:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     if mode not in ("full", "corner"):
         raise ValueError(f"mode must be 'full' or 'corner', got {mode}")
+    if K < 0:
+        raise ValueError(f"K must be >= 0, got {K}")
     cap = THEOREM7_FULL_CAP if mode == "full" else THEOREM7_CORNER_CAP
     if K > cap:
         raise EnumerationCapError(f"K={K} exceeds {mode}-mode cap {cap}")
@@ -365,12 +365,9 @@ def theorem7_witness(eps: float, K: int, mode: str = "full") -> Theorem7Report:
     blocks: list[Theorem7Block] = []
     for k, (lo, hi) in enumerate(_block_windows(K)):
         width = hi - lo
-        theta = walsh_sign_arrangement(k)
-        signed_sup = sup_norm_decoupled(theta)
+        signed_sup = sup_norm_decoupled(walsh_sign_arrangement(k))
         corner = float(np.ones((width, width)).sum())
-        rearr_at = None
-        u_k = None
-        ratio = None
+        rearr_at = u_k = ratio = None
         if mode == "full":
             u_k = 2.0 ** (-(2 ** (k + 2)) + 1)
             # the flipped block factors through the window variables only
@@ -401,8 +398,7 @@ def theorem7_witness(eps: float, K: int, mode: str = "full") -> Theorem7Report:
             coeffs = np.zeros((top, top))
             for k, (lo, hi) in enumerate(_block_windows(kk)):
                 coeffs[lo:hi, lo:hi] = 2.0 ** (-(3.0 + eps) * k / 2.0)
-            image = eval_decoupled(coeffs)
-            partial_quasinorms.append(quasinorm_phi_eps(rearrangement(image), eps))
+            partial_quasinorms.append(quasinorm_phi_eps(rearrangement(eval_decoupled(coeffs)), eps))
     return Theorem7Report(
         eps=eps,
         mode=mode,

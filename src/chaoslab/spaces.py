@@ -141,7 +141,8 @@ def quasinorm_phi_eps(r: Rearrangement, eps: float) -> float:
 def lorentz_norm(r: Rearrangement, p: float) -> float:
     """Lorentz norm with weight log2(2/t)^(1-p): exact Stieltjes sum over steps.
 
-    ``max|x*|`` is factored out of the powers, as in ``lp_norm``.
+    ``max|x*|`` is factored out of the powers, as in ``lp_norm``; two owned buffers hold
+    the weights phi at the bounds and the powered values.
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
@@ -149,10 +150,12 @@ def lorentz_norm(r: Rearrangement, p: float) -> float:
     top = float(vals.max())
     if top == 0.0:
         return 0.0
-    phi_right = np.log2(2.0 / r.bounds) ** (1.0 - p)
-    phi_left = np.concatenate([[0.0], phi_right[:-1]])  # phi(0+) = 0
-    total = float(np.sum((vals / top) ** p * (phi_right - phi_left)))
-    return top * total ** (1.0 / p)
+    phi = np.cumsum(r.masses)  # the bounds, then phi at each
+    np.power(np.log2(np.divide(2.0, phi, out=phi), out=phi), 1.0 - p, out=phi)
+    np.power(np.divide(vals, top, out=vals), p, out=vals)
+    vals[0] *= phi[0]  # phi(0+) = 0
+    vals[1:] *= phi[1:] - phi[:-1]
+    return top * float(np.sum(vals)) ** (1.0 / p)
 
 
 @dataclass(frozen=True)

@@ -127,10 +127,11 @@ def brute_sign_scan(cols, n):
 
 
 @st.composite
-def mask_stacks(draw):
-    """(cols, n): up to 40 random column-mask matrices with n in 1..18 rows and 1..20 columns."""
-    n = draw(st.integers(1, 18))
-    shape = (draw(st.integers(1, 40)), draw(st.integers(1, 20)))
+def mask_stacks(draw, rows=st.integers(1, 18), count=st.integers(1, 40), cols=st.integers(1, 20)):
+    """(cols, n): a stack of random column-mask matrices, by default up to 40 of them
+    with n in 1..18 rows and 1..20 columns."""
+    n = draw(rows)
+    shape = (draw(count), draw(cols))
     rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**64 - 1))))
     return rng.integers(0, 2**n, size=shape, dtype=np.uint64), n
 
@@ -146,11 +147,12 @@ class TestSignScanKernel:
         assert sup_norm_decoupled(theta) == want
 
     @settings(max_examples=20, deadline=None)
-    @given(sign_matrices(st.integers(18, 20), st.integers(1, 3)))
-    # a lone column peaks only at eps = +-column: here the last of 2^19 sign vectors
-    @example(np.where(np.arange(20)[:, None] > 0, -1.0, 1.0))
+    @given(sign_matrices(st.integers(18, 20), st.just(18)))
+    # equal columns peak only at eps = +-column: here the last low and high rows
+    @example(np.where(np.arange(18)[:, None] > 0, -1.0, 1.0) * np.ones((1, 18)))
     def test_sup_across_sign_chunks(self, theta):
-        # 2^17 .. 2^19 sign vectors: several kernel chunks of 2^16
+        # the short side of 18 splits into 2^8 low and 2^9 high rows, paired in several blocks
+        assert split_block_count(2**8, 2**9, theta.shape[0]) >= 2
         assert sup_norm_decoupled(theta) == brute_sup_by_columns(theta)
 
     def test_exact_average_n3(self):
@@ -182,18 +184,18 @@ class TestSignScanKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(mask_stacks())
-    # the high half is empty: whole blocks of matrices scored at once
-    @example((np.arange(40, dtype=np.uint64).reshape(5, 8) % 128, extremal._SPLIT_MIN - 1))
-    # the smallest split: one block batches all 40 matrices
-    @example((np.arange(120, dtype=np.uint64).reshape(40, 3) * 7 % 256, extremal._SPLIT_MIN))
-    # 2^16 pairs per matrix: the blocks split one matrix's low masks
+    # one block holds all 5 matrices, fewer than its 16 high rows: the high rows innermost
+    @example((np.arange(40, dtype=np.uint64).reshape(5, 8) % 128, 8))
+    # one block holds all 40 matrices, more than its 32 high rows: the matrices innermost
+    @example((np.arange(120, dtype=np.uint64).reshape(40, 3) * 7 % 256, 9))
+    # 2^16 pairs of 12 columns per matrix: the blocks split one matrix's low masks
     @example((np.arange(36, dtype=np.uint64).reshape(3, 12) * 4099 % 2**17, 17))
     def test_stacks_match_brute(self, case):
         cols, n = case
         assert np.array_equal(extremal._sign_scan(cols, n), brute_sign_scan(cols, n))
 
     def test_sums_past_each_accumulator(self):
-        # sups of 128 overflow int8 and sups above 32767 int16, in the small-n path and the split
+        # sups of 128 overflow int8 and sups above 32767 int16, from stacks and single matrices
         all_plus = np.zeros((1, 32), dtype=np.uint64)
         assert extremal._sign_scan(all_plus, 4)[0] == extremal._sign_scan(all_plus[:, :8], 16)[0] == 128
         assert sup_norm_decoupled(np.ones((2, 20000))) == 40000
@@ -224,9 +226,10 @@ def assert_scan_matches(got, want, exact):
         assert abs(got - want) <= 1e-12 * want
 
 
-def split_block_count(rows_lo, rows_hi):
-    """Blocks of at most _CHUNK (low row, high row) pairs that a split scan runs."""
-    return -(-rows_lo // max(1, extremal._CHUNK // rows_hi))
+def split_block_count(rows_lo, rows_hi, pair_bytes):
+    """Blocks of at most _CHUNK bytes that a split scan of one matrix runs, each pairing a
+    run of low rows with every high row at ``pair_bytes`` per pair."""
+    return -(-rows_lo // max(1, extremal._CHUNK // (rows_hi * pair_bytes)))
 
 
 class TestSplitScans:
@@ -250,30 +253,39 @@ class TestSplitScans:
         assert_scan_matches(sup_norm_undecoupled(b), brute_sup_undecoupled(b), exact)
 
     @settings(max_examples=60, deadline=None)
-    @given(scan_inputs(st.integers(2, 8), st.integers(1, 6)), st.integers(1, 9))
-    def test_small_blocks_cover_every_pair(self, case, chunk):
-        # a tiny block size splits even small scans into many uneven blocks
+    @given(
+        scan_inputs(st.integers(2, 8), st.integers(1, 6)),
+        mask_stacks(st.integers(2, 12), st.integers(1, 5), st.integers(1, 6)),
+        st.integers(1, 600),
+    )
+    def test_small_blocks_cover_every_pair(self, case, stack, chunk):
+        # a budget of at most 600 bytes splits even small scans and stacks into many uneven
+        # blocks, of one or several matrices, low rows and table runs
         a, exact = case
+        cols, n = stack
         k = min(a.shape)
         square = a[:k, :k]
         with mock.patch.object(extremal, "_CHUNK", chunk):
             dec = sup_norm_decoupled(a)
             und = sup_norm_undecoupled(square)
+            stacked = extremal._sign_scan(cols, n)
         assert_scan_matches(dec, brute_sup_decoupled(a), exact)
         assert_scan_matches(und, brute_sup_undecoupled(square), exact)
+        assert np.array_equal(stacked, brute_sign_scan(cols, n))
 
     def test_decoupled_spans_several_blocks(self):
+        # the short side of 18 columns splits into 2^8 low and 2^9 high rows of 19 doubles
         rng = np.random.Generator(np.random.Philox(key=50))
-        a = rng.standard_normal((19, 2))
-        assert split_block_count(2**8, 2**10) >= 2
+        a = rng.standard_normal((19, 18))
+        assert split_block_count(2**8, 2**9, 19 * 8) >= 2
         assert_scan_matches(sup_norm_decoupled(a), brute_sup_by_columns(a), False)
-        ints = rng.integers(-4, 5, size=(19, 3)).astype(float)
+        ints = rng.integers(-4, 5, size=(19, 18)).astype(float)
         assert sup_norm_decoupled(ints) == brute_sup_by_columns(ints)
 
     def test_undecoupled_spans_several_blocks(self):
         rng = np.random.Generator(np.random.Philox(key=51))
         b = rng.standard_normal((18, 18))
-        assert split_block_count(2**8, 2**9) >= 2
+        assert split_block_count(2**8, 2**9, 8) >= 2
         assert_scan_matches(sup_norm_undecoupled(b), brute_sup_undecoupled(b), False)
         ints = rng.integers(-2, 3, size=(18, 18)).astype(float)
         assert sup_norm_undecoupled(ints) == brute_sup_undecoupled(ints)
@@ -512,3 +524,9 @@ class TestTheorem7:
     def test_eps_validated(self):
         with pytest.raises(ValueError):
             theorem7_witness(0.75, 1)
+
+    def test_negative_k_rejected(self):
+        # K = -1 would build no block and report nothing, a vacuous witness
+        for mode in ("full", "corner"):
+            with pytest.raises(ValueError, match="K must be >= 0"):
+                theorem7_witness(0.25, -1, mode=mode)

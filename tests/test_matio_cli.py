@@ -317,7 +317,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "case, code",
         [("missing", 2), ("directory", 2), ("parse", 2), ("lp_nan", 2),
-         ("config_value", 2), ("config_header", 2), ("orlicz_tol", 2), ("cap", 3)],
+         ("config_value", 2), ("config_header", 2), ("orlicz_tol", 2), ("theorem7_k", 2),
+         ("cap", 3)],
     )
     def test_one_error_line_no_traceback(self, tmp_path, case, code):
         good = tmp_path / "a.txt"
@@ -329,6 +330,7 @@ class TestCliExitCodes:
         (tmp_path / "value.cfg").write_text("[run]\nseed = x\n")
         (tmp_path / "header.cfg").write_text("seed = 3\n")
         (tmp_path / "tol.cfg").write_text("[run]\norlicz_rel_tol = 1e-17\n")
+        (tmp_path / "k.cfg").write_text("[theorem7]\nk_max = -1\n")
         args = {
             "missing": ["supnorm", str(tmp_path / "nope.txt")],
             "directory": ["supnorm", str(tmp_path)],
@@ -338,6 +340,8 @@ class TestCliExitCodes:
             "config_header": ["--config", str(tmp_path / "header.cfg"), "supnorm", str(good)],
             "orlicz_tol": ["--config", str(tmp_path / "tol.cfg"), "norm", str(good),
                            "--space", "orlicz-exp"],
+            # a negative block count would build no block: zero checks, not a PASS
+            "theorem7_k": ["--config", str(tmp_path / "k.cfg"), "verify", "theorem7"],
             "cap": ["supnorm", str(big), "--mode", "undecoupled"],
         }[case]
         package_root = str(Path(chaoslab.__file__).resolve().parents[1])
