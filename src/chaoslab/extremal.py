@@ -79,12 +79,33 @@ def _half_scores(cols: np.ndarray, masks: np.ndarray, shift: int, width: int) ->
     return table.transpose(0, 2, 1)
 
 
+def _cut_buffer(row: int, itemsize: int) -> int:
+    """Cut NumPy's ufunc buffer to one block row of ``row`` items (a multiple of 16) if it is
+    1 KiB or more, and return the size to restore: NumPy buffers a broadcast add whose rows
+    are shorter than its buffer, copying every operand, and adds such rows faster in place."""
+    saved = np.getbufsize()
+    if row * itemsize >= 1024:
+        np.setbufsize(min(row // 16 * 16, saved))
+    return saved
+
+
 def _pair_max(low: np.ndarray, high: np.ndarray, acc_type) -> np.ndarray:
     """Per matrix k, the max over pairs (l, g) of sum_j |low[j, k, l] + high[j, k, g]|.
 
     ``low`` and ``high`` are (columns, matrices, rows) half tables of one dtype.  A block pairs
     a run of matrices and low rows with every high row in one ``np.add`` over all columns of
     at most ``_CHUNK`` bytes, whose ``abs`` is summed over the columns in order in ``acc_type``.
+
+    A matrix whose pairs need several blocks is pruned by the bound la[l] + hb[g] on a pair's
+    score, la and hb the l1 norms of the low and high rows, both sorted descending: after the
+    first block, a block pairs only with the high rows where (la[first] + hb) * slack > best,
+    a prefix, and the scan stops at the first empty one.  Integer tables prune exactly
+    (slack 1).  For real tables with m columns and unit roundoff u, a computed score is at
+    most (1 + u)(1 + g) times the exact la + hb, and the computed (la + hb) * slack at least
+    (1 - g)(1 - u)^2 slack times it, where g = (m - 1) u / (1 - (m - 1) u) bounds a sequential
+    sum; slack = 1 + 4 (m + 2) u exceeds the quotient, 1 + (2m + 1) u to first order, so no
+    pruned pair beats best (below 2^-1022 every add is exact).  Kept pairs are summed as in
+    a full scan, so the max is bit for bit the same.
     """
     cols, count, lrows = low.shape
     hrows = high.shape[2]
@@ -94,18 +115,28 @@ def _pair_max(low: np.ndarray, high: np.ndarray, acc_type) -> np.ndarray:
     if mats < hrows:  # a block follows the tables' memory order: put its longer axis innermost
         high = np.ascontiguousarray(high)
     best = np.zeros(count, dtype=acc_type)
-    inner = max(mats, hrows)  # the length of a block's innermost axis
-    # NumPy buffers a broadcast add whose rows are shorter than its buffer, copying every
-    # operand; rows of 1 KiB and more are added faster in place, so the buffer is cut to one
-    saved = np.getbufsize()
-    if inner * low.itemsize >= 1024:
-        np.setbufsize(min(inner // 16 * 16, saved))  # a multiple of 16
+    saved = _cut_buffer(max(mats, hrows), low.itemsize)  # a block's innermost axis
     try:
         for start in range(0, count, mats):
-            hi = high[:, start : start + mats, None, :]
+            lo, hi = low[:, start : start + mats], high[:, start : start + mats, None]
             view = best[start : start + mats]
+            live = hrows
+            if rows < lrows:  # one matrix, several blocks: sort both tables by row norm
+                la = np.add.reduce(np.abs(lo[:, 0]), axis=0, dtype=acc_type)
+                hb = np.add.reduce(np.abs(hi[:, 0, 0]), axis=0, dtype=acc_type)
+                lorder, horder = np.argsort(la)[::-1], np.argsort(hb)[::-1]
+                # np.take keeps the copies in C order, columns outermost as in the tables
+                lo, hi = np.take(lo, lorder, axis=-1), np.take(hi, horder, axis=-1)
+                la, hb = la[lorder], hb[horder]
+                exact = np.issubdtype(acc_type, np.integer)
+                slack = 1 if exact else 1 + 4 * (cols + 2) * np.finfo(acc_type).epsneg
             for first in range(0, lrows, rows):
-                block = np.add(low[:, start : start + mats, first : first + rows, None], hi)
+                if first:  # later blocks: only high rows that can still beat best
+                    live = np.count_nonzero((hb + la[first]) * slack > view[0])
+                    if not live:
+                        break
+                # two high rows at least, so NumPy sums a block column by column, not pairwise
+                block = np.add(lo[:, :, first : first + rows, None], hi[..., : max(live, 2)])
                 scores = np.add.reduce(np.abs(block, out=block), axis=0, dtype=acc_type)
                 np.maximum(view, np.maximum.reduce(scores, axis=(1, 2)), out=view)
     finally:
@@ -146,8 +177,8 @@ def sup_norm_decoupled(a) -> float:
 
     Scans 2^(n-1) sign vectors of the shorter axis (the rows of a square matrix), as
     max_eps |A^T eps|_1 = max_delta |A delta|_1, meeting in the middle: eps = (l, g)
-    over the two row halves has column sums L[l] + H[g], and ``_pair_max`` scores
-    sum_j |L[l, j] + H[g, j]| over every pair.  The half sums of a +-1 matrix are
+    over the two row halves has column sums L[l] + H[g], and ``_pair_max`` takes the max
+    of sum_j |L[l, j] + H[g, j]| over the pairs.  The half sums of a +-1 matrix are
     integers of at most 15 in magnitude, so its tables are int8.
     """
     a = as_coefficient_matrix(a)
@@ -187,11 +218,15 @@ def sup_norm_undecoupled(b) -> float:
     cross = linear_forms(b[:h, h:] + b[h:, :h].T)[::2]
     rows = max(1, _CHUNK // (8 * w.shape[0]))  # low rows per block
     best = 0.0
-    for start in range(0, qu.size, rows):
-        quad = cross[start : start + rows] @ w.T
-        quad += qu[start : start + rows, None]
-        quad += qw
-        best = max(best, float(np.abs(quad, out=quad).max()))
+    saved = _cut_buffer(w.shape[0], 8)
+    try:
+        for start in range(0, qu.size, rows):
+            quad = cross[start : start + rows] @ w.T
+            quad += qu[start : start + rows, None]
+            quad += qw
+            best = max(best, float(np.abs(quad, out=quad).max()))
+    finally:
+        np.setbufsize(saved)
     return best
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chaoslab.chaos import eval_decoupled, eval_undecoupled
-from chaoslab.dyadic import DyadicPoint, full_sign_matrix, walsh
+from chaoslab.dyadic import DyadicPoint, full_sign_matrix, linear_forms, walsh
 from chaoslab import extremal
 from chaoslab.errors import EnumerationCapError
 from chaoslab.extremal import (
@@ -290,17 +290,139 @@ class TestSplitScans:
         ints = rng.integers(-2, 3, size=(18, 18)).astype(float)
         assert sup_norm_undecoupled(ints) == brute_sup_undecoupled(ints)
 
-    @pytest.mark.parametrize("scan", [sup_norm_decoupled, sup_norm_undecoupled])
-    def test_peak_memory_at_22(self, scan):
-        # the split tables and one block stay near 2 MiB; a full 2^21-row sign table is 45 MiB
+    @pytest.mark.parametrize(
+        "scan, signs",
+        [(sup_norm_decoupled, False), (sup_norm_decoupled, True), (sup_norm_undecoupled, False)],
+        ids=["sup_norm_decoupled", "sup_norm_decoupled_pm1", "sup_norm_undecoupled"],
+    )
+    def test_peak_memory_at_22(self, scan, signs):
+        # the split tables, their copies sorted by row norm and one block stay under 2 MiB
+        # (README "Caps"); a full 2^21-row sign table is 45 MiB
         a = np.random.Generator(np.random.Philox(key=52)).standard_normal((22, 22))
+        if signs:
+            a = np.where(a < 0, -1.0, 1.0)
+        # the decoupled scan pairs 2^10 low rows with 2^11 high rows in several blocks, so it sorts
+        assert split_block_count(2**10, 2**11, 22 * (1 if signs else 8)) >= 2
         tracemalloc.start()
         try:
             scan(a)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2 * 2**20
+
+
+def half_tables(a):
+    """(low, high) float (columns, rows) tables of ``sup_norm_decoupled``: the column sums of
+    the two row halves of the shorter axis, eps_0 = +1 in the low half."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[0] > a.shape[1]:
+        a = a.T
+    h = a.shape[0] // 2
+    return linear_forms(a[:h])[::2].T, linear_forms(a[h:]).T
+
+
+def pair_table_max(low, high):
+    """Reference for the pair kernel: the full (low, high) pair table, |L_j + H_j| summed
+    column by column in order, as the kernel sums every pair it scores."""
+    total = np.zeros((low.shape[1], high.shape[1]))
+    for lj, hj in zip(low, high):
+        total += np.abs(lj[:, None] + hj[None, :])
+    return total.max()
+
+
+@st.composite
+def near_tie_matrices(draw):
+    """Real, +-1 or small-integer matrices, some with duplicated and negated columns, rows
+    scaled by powers of two or entries near 1e+-200, so many pairs tie or nearly tie."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = {
+        "gauss": lambda: rng.standard_normal((n, m)),
+        "pm1": lambda: np.where(rng.random((n, m)) < 0.5, -1.0, 1.0),
+        "int": lambda: rng.integers(-3, 4, (n, m)).astype(float),
+    }[draw(st.sampled_from(["gauss", "pm1", "int"]))]()
+    if draw(st.booleans()):
+        a = np.hstack([a, -a[:, ::-1]])
+    if draw(st.booleans()):
+        a = a * 2.0 ** rng.integers(-3, 4, (n, 1))
+    return a * draw(st.sampled_from([1.0, 1.0, 1e-200, 1e200]))
+
+
+class TestPrunedPairScan:
+    """The pair kernel scores only pairs whose row norms can beat the best score so far, and
+    returns bit for bit the max over the full pair table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_tie_matrices(), st.integers(16, 4096))
+    @example(np.zeros((8, 8)), 64)
+    @example(np.ones((8, 8)), 64)  # every block after the first prunes
+    @example(walsh_sign_arrangement(4), 4096)  # few prune
+    def test_bit_identical_to_full_pair_table(self, a, chunk):
+        # budgets of at most 4 KiB split the pairs of one matrix into several blocks at n <= 12
+        with mock.patch.object(extremal, "_CHUNK", chunk):
+            got = sup_norm_decoupled(a)
+        assert got == pair_table_max(*half_tables(a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask_stacks(st.integers(2, 12), st.integers(1, 4), st.integers(1, 8)), st.integers(16, 4096))
+    def test_stacks_bit_identical(self, stack, chunk):
+        cols, n = stack
+        bits = (cols[:, :, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+        thetas = 1.0 - 2.0 * bits.transpose(0, 2, 1)  # (matrices, n, columns)
+        with mock.patch.object(extremal, "_CHUNK", chunk):
+            got = extremal._sign_scan(cols, n)
+        assert got.tolist() == [pair_table_max(*half_tables(t)) for t in thetas]
+
+    @pytest.mark.parametrize(
+        "a, kind, blocks",
+        [(np.ones((8, 8)), float, 1), (np.zeros((8, 8)), float, 1), (WALSH_K2, float, 2), (WALSH_K2, np.int8, 1)],
+        ids=["ones", "zero", "walsh-real", "walsh-int8"],
+    )
+    def test_blocks_scored(self, a, kind, blocks):
+        # one low row a block.  All ones: every later low row has la + max hb below the first
+        # block's 64, and zero: every bound is 0, so every later block prunes.  Every pair of
+        # the 4x4 Walsh tables has la + hb = 8, its sup: a real table keeps such a tie within
+        # its rounding slack, an integer table prunes it exactly.
+        low, high = (np.ascontiguousarray(t, dtype=kind)[:, None] for t in half_tables(a))
+        acc_type = float if kind is float else np.int16
+        with (
+            mock.patch.object(extremal, "_CHUNK", low.shape[0] * low.itemsize * high.shape[2]),
+            mock.patch.object(np, "add", wraps=np.add) as add,
+        ):
+            got = extremal._pair_max(low, high, acc_type)
+        assert add.call_count == blocks
+        assert got[0] == pair_table_max(low[:, 0], high[:, 0])
+
+    def test_block_bound_reads_its_largest_low_row(self):
+        # two low rows a block: after the first block's 12, the block (5, 1) still pairs 5
+        # with the high row 10, where 5 + 10 = 15 > 12 although 1 + 10 does not beat 12
+        low = np.array([[[-12, -11, 5, 1]]], dtype=np.int8)
+        high = np.array([[[10, 0]]], dtype=np.int8)
+        with mock.patch.object(extremal, "_CHUNK", 4):
+            assert extremal._pair_max(low, high, np.int16)[0] == 15
+
+    def test_rounding_slack_keeps_a_pair_above_its_bound(self):
+        # the pair (l, h) sums to 2 + 2^-50, above its computed bound la + hb = 2 + 2^-51,
+        # which the first block's row (2 + 2^-51, 0, 0) already scores: only the slack keeps it
+        u = 2.0**-53
+        low = np.array([[2 + 4 * u, 0.0, 0.0], [2 * u, 1.0, -1.0]]).T[:, None]
+        high = np.array([[0.0, 1.75 * u, -1.25 * u], [0.0, 0.0, 0.0]]).T[:, None]
+        with mock.patch.object(extremal, "_CHUNK", 3 * 8 * 2):
+            got = extremal._pair_max(low, high, float)[0]
+        assert got == pair_table_max(low[:, 0], high[:, 0]) == 2 + 8 * u
+
+    def test_one_live_pair_sums_in_order(self):
+        # one low row a block.  The first block's best is |-1.1 w|_1; the second low row 0.5 w
+        # can beat it only with the high row w.  Their 15 small columns, 1.5 * 2^-54 each, are
+        # below half an ulp of 1.5, so summed column by column the score is 1.5; NumPy's
+        # pairwise sum of a lone pair adds them up first and gives more.
+        w = np.array([1.0] + [2.0**-54] * 15)
+        low = np.stack([-1.1 * w, 0.5 * w], axis=1)[:, None]
+        high = np.stack([w, np.zeros(16)], axis=1)[:, None]
+        assert np.add.reduce(np.abs(low[:, 0, 1] + high[:, 0, 0])) > 1.5  # pairwise
+        with mock.patch.object(extremal, "_CHUNK", 16 * 8 * 2):
+            assert extremal._pair_max(low, high, float)[0] == pair_table_max(low[:, 0], high[:, 0]) == 1.5
 
 
 class TestSupNormUndecoupled:
