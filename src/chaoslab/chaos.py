@@ -41,13 +41,6 @@ def as_sign_matrix(theta, symmetric: bool = False) -> np.ndarray:
     return t
 
 
-def _check_bits(total: int, cap: int, what: str) -> None:
-    if total > cap:
-        raise EnumerationCapError(
-            f"enumeration too large: {what} needs {total} bits, cap is {cap}"
-        )
-
-
 class _DecoupledChaos(StepFunction2D):
     """eps^T A delta, odd in eps and in delta: the block eps_n = delta_m = +1 carries |x|'s law."""
 
@@ -74,7 +67,7 @@ def eval_decoupled(a, max_bits: int = MAX_BITS_2D) -> StepFunction2D:
     """
     a = as_coefficient_matrix(a)
     n, m = a.shape
-    _check_bits(n + m, max_bits, f"{n}x{m} decoupled evaluation")
+    EnumerationCapError.check(f"{n}x{m} decoupled sign bits", n + m, max_bits)
     hn, hm = 2 ** (n - 1), 2 ** (m - 1)
     values = np.empty((2 * hn, 2 * hm))
     np.matmul(full_sign_matrix(n)[:hn] @ a, full_sign_matrix(m)[:hm].T, out=values[:hn, :hm])
@@ -96,7 +89,7 @@ def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
         raise ValueError(f"undecoupled coefficients must be square, got {n}x{m}")
     if np.any(np.diagonal(b) != 0.0):
         raise ValueError("diagonal must vanish")
-    _check_bits(n, max_bits, f"{n}x{n} undecoupled evaluation")
+    EnumerationCapError.check(f"{n}x{n} undecoupled sign bits", n, max_bits)
     return _UndecoupledChaos(n=n, values=quadratic_form(b))
 
 
@@ -113,10 +106,7 @@ def decouple_identity_rhs(b, N: int) -> StepFunction1D:
         raise ValueError(f"coefficient matrix must be {N}x{N}, got {b.shape}")
     if np.any(np.diagonal(b) != 0.0):
         raise ValueError("diagonal must vanish")
-    if N > DECOUPLE_SUBSETS_CAP:
-        raise EnumerationCapError(
-            f"enumeration too large: 2^{N} subsets exceeds cap 2^{DECOUPLE_SUBSETS_CAP}"
-        )
+    EnumerationCapError.check("decoupling subset bits", N, DECOUPLE_SUBSETS_CAP)
     a = b + b.T
     E = full_sign_matrix(N)
     total = np.zeros(2**N, dtype=np.float64)

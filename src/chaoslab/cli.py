@@ -23,6 +23,7 @@ from . import extremal, matio, spaces
 from .chaos import eval_decoupled, eval_undecoupled
 from .config import RunConfig, load_config
 from .errors import EnumerationCapError, MatrixParseError
+from .matio import format_number
 from .rearrange import rearrangement
 from .suites import SUITE_NAMES, SuiteResult, run_suite
 
@@ -125,14 +126,6 @@ def _json_artifact(cfg: RunConfig, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return "NA"
-    if isinstance(v, float) and v.is_integer():
-        return str(int(v))
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def _cmd_supnorm(args, cfg: RunConfig) -> int:
     a = matio.load_matrix(args.matrix)
     if args.mode == "decoupled":
@@ -140,7 +133,7 @@ def _cmd_supnorm(args, cfg: RunConfig) -> int:
     else:
         value = extremal.sup_norm_undecoupled(a)
     n, m = a.shape
-    print(f"supnorm mode={args.mode} n={n} m={m} value={_fmt(value)}")
+    print(f"supnorm mode={args.mode} n={n} m={m} value={format_number(value)}")
     emitter = _Emitter(cfg, "supnorm", {"matrix": str(args.matrix), "mode": args.mode})
     payload = {"command": "supnorm", "mode": args.mode, "n": n, "m": m, "value": value}
     emitter.emit("supnorm", {"json": lambda: _json_artifact(cfg, payload)})
@@ -153,7 +146,8 @@ def _suite_csv(cfg: RunConfig, results: list[SuiteResult]) -> str:
         for c in res.checks:
             bound = c.bound.replace('"', "'")
             lines.append(
-                f'{res.suite},{c.id},{c.status},{_fmt(c.value)},"{bound}",{_fmt(c.tol)}'
+                f"{res.suite},{c.id},{c.status},{format_number(c.value)},"
+                f'"{bound}",{format_number(c.tol)}'
             )
     return "\n".join(lines) + "\n"
 
@@ -181,7 +175,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         for c in res.checks:
             mark = {"pass": "PASS", "fail": "FAIL", "skip": "SKIP"}[c.status]
             buffered.append(
-                f"[{mark}] {res.suite}.{c.id} value={_fmt(c.value)} bound: {c.bound}"
+                f"[{mark}] {res.suite}.{c.id} value={format_number(c.value)} bound: {c.bound}"
             )
         verdict = "PASS" if res.passed else "FAIL"
         buffered.append(f"suite {res.suite}: {verdict} ({res.wall_time:.2f}s)")
@@ -213,27 +207,30 @@ def _row(n: int, mode: str, value, samples: int, seed: int, elapsed: float) -> d
 def _scaling_rows(cfg: RunConfig, ns: list[int], samples: int) -> list[dict]:
     rows = []
 
-    def add(rep: extremal.SearchReport) -> None:
-        rows.append(_row(rep.n, rep.mode, rep.value, rep.samples, rep.seed, rep.elapsed))
+    def add(n: int, mode: str, seed: int, run) -> None:
+        """Time ``run()``, which returns a SearchReport; over a cap, add a skip row."""
+        t0 = time.perf_counter()
+        try:
+            rep = run()
+        except EnumerationCapError:
+            rows.append(_row(n, mode, None, 0, seed, 0.0))
+        else:
+            rows.append(_row(n, mode, rep.value, rep.samples, seed, time.perf_counter() - t0))
+
+    def walsh(n: int, k: int) -> extremal.SearchReport:
+        value = extremal.sup_norm_decoupled(extremal.walsh_sign_arrangement(k))
+        return extremal.SearchReport(n=n, mode="walsh", value=value, samples=2 ** (n - 1), seed=0)
 
     for n in ns:
         if 2 ** (n * n) <= samples and n <= extremal.EXACT_AVERAGE_CAP:
-            add(extremal.exact_average(n))
-        elif n <= extremal.MONTE_CARLO_CAP:
-            add(extremal.monte_carlo_average(n, samples, cfg.seed))
+            add(n, "exhaustive_average", 0, lambda: extremal.exact_average(n))
         else:
-            rows.append(_row(n, "monte_carlo", None, 0, cfg.seed, 0.0))
-        if n <= extremal.EXHAUSTIVE_CAP:
-            add(extremal.exhaustive_inf(n))
-        else:
-            rows.append(_row(n, "exhaustive", None, 0, 0, 0.0))
+            add(n, "monte_carlo", cfg.seed,
+                lambda: extremal.monte_carlo_average(n, samples, cfg.seed))
+        add(n, "exhaustive", 0, lambda: extremal.exhaustive_inf(n))
         k = n.bit_length() - 1
-        if n == 2**k and k <= extremal.SIDON_K_CAP:
-            t0 = time.perf_counter()
-            value = extremal.sup_norm_decoupled(extremal.walsh_sign_arrangement(k))
-            rows.append(_row(n, "walsh", value, 2 ** (n - 1), 0, time.perf_counter() - t0))
-        elif n == 2**k:
-            rows.append(_row(n, "walsh", None, 0, 0, 0.0))
+        if n == 2**k:
+            add(n, "walsh", 0, lambda: walsh(n, k))
     return rows
 
 
@@ -245,11 +242,11 @@ def _scaling_csv(cfg: RunConfig, rows: list[dict]) -> str:
                 [
                     str(r["n"]),
                     r["mode"] if r["status"] == "ok" else f"{r['mode']}[skip]",
-                    _fmt(r["value"]),
-                    _fmt(r["ratio"]),
+                    format_number(r["value"]),
+                    format_number(r["ratio"]),
                     str(r["samples"]),
                     str(r["seed"]),
-                    _fmt(r["elapsed_ms"]),
+                    format_number(r["elapsed_ms"]),
                 ]
             )
         )
@@ -291,7 +288,7 @@ def _cmd_norm(args, cfg: RunConfig) -> int:
         x = eval_undecoupled(a, max_bits=cfg.max_bits_1d)
     r = rearrangement(x) if args.export_rearrangement else None
     value = spaces.evaluate_norm(spec, x, cfg.orlicz_rel_tol, r)
-    print(f"norm space={args.space} mode={args.mode} value={_fmt(value)}")
+    print(f"norm space={args.space} mode={args.mode} value={format_number(value)}")
     if r is not None:
         Path(args.export_rearrangement).write_text(matio.rearrangement_to_csv(r))
     emitter = _Emitter(
@@ -316,7 +313,7 @@ def _cmd_walsh(args, cfg: RunConfig) -> int:
     if args.defect:
         defect = extremal.sidon_defect(args.k)
         payload["defect"] = defect
-        print(f"defect={_fmt(defect)}")
+        print(f"defect={format_number(defect)}")
     emitter = _Emitter(cfg, "walsh", {"k": args.k, "defect": args.defect})
     render = {}
     if "csv" in _formats(cfg):

@@ -207,6 +207,5 @@ def materialize_1d(coeffs, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
     n = c.size
     if n < 1:
         raise ValueError("need at least one coefficient")
-    if n > max_bits:
-        raise EnumerationCapError(f"enumeration too large: {n} bits exceeds cap {max_bits}")
+    EnumerationCapError.check("linear form sign bits", n, max_bits)
     return StepFunction1D(n=n, values=linear_forms(c))

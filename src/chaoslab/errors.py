@@ -12,6 +12,12 @@ class ChaosLabError(Exception):
 class EnumerationCapError(ChaosLabError):
     """An enumeration would exceed the configured size cap."""
 
+    @staticmethod
+    def check(what: str, size: int, cap: int) -> None:
+        """Raise ``"<what> <size> exceeds cap <cap>"`` if ``size`` is over ``cap``."""
+        if size > cap:
+            raise EnumerationCapError(f"{what} {size} exceeds cap {cap}")
+
 
 class InsufficientPrecisionError(ChaosLabError, ValueError):
     """A dyadic point does not carry enough bits for the requested function."""

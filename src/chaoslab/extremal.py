@@ -14,7 +14,7 @@ n - 2 popcount(eps ^ c_j); the stacks serve the exhaustive infimum and both aver
 from __future__ import annotations
 
 import math
-import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,9 +31,6 @@ EXHAUSTIVE_CAP = 5
 EXACT_AVERAGE_CAP = 4
 MONTE_CARLO_CAP = 16
 WALSH_K_CAP = 5
-SIDON_K_CAP = 4
-THEOREM7_FULL_CAP = 2
-THEOREM7_CORNER_CAP = 4
 
 _CHUNK = 1 << 19  # bytes per block of a pair scan
 _RNG_NAME = "philox4x64"
@@ -48,7 +45,6 @@ class SearchReport:
     value: float
     samples: int
     seed: int
-    elapsed: float
     stddev: float | None = None
     rng: str | None = None
 
@@ -185,8 +181,7 @@ def sup_norm_decoupled(a) -> float:
     if a.shape[0] > a.shape[1]:
         a = a.T
     n, m = a.shape
-    if n > SUP_DECOUPLED_CAP:
-        raise EnumerationCapError(f"shorter dimension {n} exceeds scan cap {SUP_DECOUPLED_CAP}")
+    EnumerationCapError.check("decoupled scan dimension", n, SUP_DECOUPLED_CAP)
     # (columns, 1, rows), each column contiguous; for n = 1 the low half is one zero row,
     # so the high half has two rows or more and NumPy sums blocks column by column, not pairwise
     h = n // 2
@@ -209,8 +204,7 @@ def sup_norm_undecoupled(b) -> float:
     n, m = b.shape
     if n != m:
         raise ValueError(f"undecoupled coefficients must be square, got {n}x{m}")
-    if n > SUP_UNDECOUPLED_CAP:
-        raise EnumerationCapError(f"dimension {n} exceeds scan cap {SUP_UNDECOUPLED_CAP}")
+    EnumerationCapError.check("undecoupled scan dimension", n, SUP_UNDECOUPLED_CAP)
     h = max(1, n // 2)
     w = full_sign_matrix(n - h)  # the GEMM's right factor
     qu = quadratic_form(b[:h, :h])[::2]
@@ -240,8 +234,7 @@ def walsh_sign_arrangement(k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k > WALSH_K_CAP:
-        raise EnumerationCapError(f"k={k} exceeds cap {WALSH_K_CAP}")
+    EnumerationCapError.check("Walsh generation", k, WALSH_K_CAP)
     idx = np.arange(2**k, dtype=np.uint64)
     rev = np.zeros_like(idx)
     for b in range(k):
@@ -259,9 +252,7 @@ def exhaustive_inf(n: int, symmetric: bool = False) -> SearchReport:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > EXHAUSTIVE_CAP:
-        raise EnumerationCapError(f"n={n} exceeds exhaustive cap {EXHAUSTIVE_CAP}")
-    t0 = time.perf_counter()
+    EnumerationCapError.check("exhaustive search dimension", n, EXHAUSTIVE_CAP)
     if not symmetric:
         # column 0 is all +1 (mask 0); row 0 is +1, so inner masks shift up one bit
         cols = np.zeros((2 ** ((n - 1) ** 2), n), dtype=np.uint64)
@@ -279,32 +270,17 @@ def exhaustive_inf(n: int, symmetric: bool = False) -> SearchReport:
         np.abs(quad, out=quad)
         value = float(quad.max(axis=1).min())
         samples = int(quad.shape[0])
-    return SearchReport(
-        n=n,
-        mode="exhaustive",
-        value=value,
-        samples=samples,
-        seed=0,
-        elapsed=time.perf_counter() - t0,
-    )
+    return SearchReport(n=n, mode="exhaustive", value=value, samples=samples, seed=0)
 
 
 def exact_average(n: int) -> SearchReport:
     """Exact mean of the decoupled sup norm over all 2^(n^2) sign matrices."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > EXACT_AVERAGE_CAP:
-        raise EnumerationCapError(f"n={n} exceeds exact-average cap {EXACT_AVERAGE_CAP}")
-    t0 = time.perf_counter()
+    EnumerationCapError.check("exact average dimension", n, EXACT_AVERAGE_CAP)
     phis = _sign_scan(_bit_fields(n, n), n)
-    return SearchReport(
-        n=n,
-        mode="exhaustive_average",
-        value=float(phis.mean()),
-        samples=int(phis.size),
-        seed=0,
-        elapsed=time.perf_counter() - t0,
-    )
+    return SearchReport(n=n, mode="exhaustive_average", value=float(phis.mean()),
+                        samples=int(phis.size), seed=0)
 
 
 def monte_carlo_average(n: int, samples: int, seed: int) -> SearchReport:
@@ -316,35 +292,23 @@ def monte_carlo_average(n: int, samples: int, seed: int) -> SearchReport:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > MONTE_CARLO_CAP:
-        raise EnumerationCapError(f"n={n} exceeds Monte-Carlo cap {MONTE_CARLO_CAP}")
+    EnumerationCapError.check("Monte-Carlo dimension", n, MONTE_CARLO_CAP)
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    t0 = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(key=seed))
     cols = rng.integers(0, 2**n, size=(samples, n), dtype=np.uint64)
     phis = _sign_scan(cols, n).astype(np.float64)
     std = float(phis.std(ddof=1)) if samples > 1 else 0.0
-    return SearchReport(
-        n=n,
-        mode="monte_carlo",
-        value=float(phis.mean()),
-        samples=samples,
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-        stddev=std,
-        rng=_RNG_NAME,
-    )
+    return SearchReport(n=n, mode="monte_carlo", value=float(phis.mean()), samples=samples,
+                        seed=seed, stddev=std, rng=_RNG_NAME)
 
 
 def sidon_defect(k: int) -> float:
     """Sup norm of the Walsh arrangement divided by its l1 coefficient mass 2^(2k).
 
     Decays like 2^(-k/2), witnessing that the product system is not Sidon.
-    The scan cap keeps k at or below 4 (k=5 would need 2^31 sign vectors).
+    The decoupled scan cap keeps k at or below 4 (k=5 would need 2^31 sign vectors).
     """
-    if k > SIDON_K_CAP:
-        raise EnumerationCapError(f"k={k} exceeds cap {SIDON_K_CAP}")
     theta = walsh_sign_arrangement(k)
     return sup_norm_decoupled(theta) / 4.0**k
 
@@ -373,8 +337,9 @@ class Theorem7Report:
     lower_bounds: list[float] = field(default_factory=list)  # 2^(eps*k/2 - 1)
 
 
-def _block_windows(K: int) -> list[tuple[int, int]]:
-    return [(2**k, 2 ** (k + 1)) for k in range(K + 1)]
+def _block_windows(K: int) -> Iterator[tuple[int, int]]:
+    """Windows of blocks 0..K, lazily: a cap met at block k stops the walk there, whatever K."""
+    return ((2**k, 2 ** (k + 1)) for k in range(K + 1))
 
 
 def theorem7_witness(eps: float, K: int, mode: str = "full") -> Theorem7Report:
@@ -385,7 +350,9 @@ def theorem7_witness(eps: float, K: int, mode: str = "full") -> Theorem7Report:
     the peak value 2^(2k) on a corner of the square.  Full mode additionally
     computes exact rearrangements of the flipped blocks and the quasi-norms of
     the partial sign-flipped images, whose lower bounds grow like
-    2^(eps*k/2 - 1).
+    2^(eps*k/2 - 1).  The caps of the scans and evaluations it calls bound K:
+    full mode stops at K = 2 (image K = 3 needs 32 sign bits), corner mode at
+    K = 4 (block 5 needs a 32-row scan).
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
@@ -393,10 +360,6 @@ def theorem7_witness(eps: float, K: int, mode: str = "full") -> Theorem7Report:
         raise ValueError(f"mode must be 'full' or 'corner', got {mode}")
     if K < 0:
         raise ValueError(f"K must be >= 0, got {K}")
-    cap = THEOREM7_FULL_CAP if mode == "full" else THEOREM7_CORNER_CAP
-    if K > cap:
-        raise EnumerationCapError(f"K={K} exceeds {mode}-mode cap {cap}")
-
     blocks: list[Theorem7Block] = []
     for k, (lo, hi) in enumerate(_block_windows(K)):
         width = hi - lo
@@ -428,9 +391,8 @@ def theorem7_witness(eps: float, K: int, mode: str = "full") -> Theorem7Report:
     partial_quasinorms: list[float] = []
     lower_bounds = [2.0 ** (eps * k / 2.0 - 1.0) for k in range(K + 1)]
     if mode == "full":
-        top = 2 ** (K + 1)
-        for kk in range(K + 1):
-            coeffs = np.zeros((top, top))
+        for kk in range(K + 1):  # on its own 2^(kk+1) square: padding only repeats atoms
+            coeffs = np.zeros((2 ** (kk + 1), 2 ** (kk + 1)))
             for k, (lo, hi) in enumerate(_block_windows(kk)):
                 coeffs[lo:hi, lo:hi] = 2.0 ** (-(3.0 + eps) * k / 2.0)
             partial_quasinorms.append(quasinorm_phi_eps(rearrangement(eval_decoupled(coeffs)), eps))

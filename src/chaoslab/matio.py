@@ -95,7 +95,7 @@ def format_matrix_text(a: np.ndarray) -> str:
     n, m = a.shape
     lines = [f"{n} {m}"]
     for row in a:
-        lines.append(" ".join(_fmt(v) for v in row))
+        lines.append(" ".join(format_number(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -103,19 +103,21 @@ def format_matrix_csv(a: np.ndarray) -> str:
     n, m = a.shape
     lines = [f"{n},{m}"]
     for row in a:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(format_number(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def _fmt(v: float) -> str:
-    if float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
+def format_number(v) -> str:
+    """``NA`` for None, an integral value without a point, anything else as repr(float(v))."""
+    if v is None:
+        return "NA"
+    v = float(v)
+    return str(int(v)) if v.is_integer() else repr(v)
 
 
 def rearrangement_to_csv(r: Rearrangement) -> str:
     """Two-column plot-ready CSV: step value, cumulative measure."""
     lines = ["value,cumulative_measure"]
     for v, bound in zip(r.values, r.bounds):
-        lines.append(f"{_fmt(float(v))},{_fmt(float(bound))}")
+        lines.append(f"{format_number(v)},{format_number(bound)}")
     return "\n".join(lines) + "\n"

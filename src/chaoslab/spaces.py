@@ -16,10 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dyadic import StepFunction1D, StepFunction2D
-from .rearrange import Rearrangement, rearrangement
-
-StepFunction = StepFunction1D | StepFunction2D
+from .rearrange import Rearrangement, StepFunction, rearrangement
 
 _ORLICZ_TARGET = math.e - 1.0  # integral bound making ||chi_(0,1)|| = 1
 _ORLICZ_MAX_STEPS = 100  # a guard: from its start bound Newton takes under 10 steps

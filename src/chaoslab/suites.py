@@ -18,14 +18,7 @@ import numpy as np
 from . import chaos, extremal, spaces
 from .config import RunConfig
 from .errors import EnumerationCapError, QuadratureError
-from .dyadic import materialize_1d
-from .rearrange import (
-    Rearrangement,
-    distribution,
-    equimeasurable,
-    log_distribution_L,
-    rearrangement,
-)
+from .rearrange import Rearrangement, equimeasurable, log_distribution_L
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from chaoslab.chaos import eval_decoupled, eval_undecoupled
-from chaoslab.dyadic import DyadicPoint, full_sign_matrix, linear_forms, walsh
+from chaoslab.chaos import decouple_identity_rhs, eval_decoupled, eval_undecoupled
+from chaoslab.dyadic import DyadicPoint, full_sign_matrix, linear_forms, materialize_1d, walsh
 from chaoslab import extremal
 from chaoslab.errors import EnumerationCapError
 from chaoslab.extremal import (
@@ -24,6 +24,8 @@ from chaoslab.extremal import (
     theorem7_witness,
     walsh_sign_arrangement,
 )
+from chaoslab.rearrange import rearrangement
+from chaoslab.spaces import quasinorm_phi_eps
 
 WALSH_K2 = np.array(
     [
@@ -583,6 +585,11 @@ class TestAverages:
         assert rep.rng == "philox4x64"
         assert rep.stddev is not None
 
+    def test_identical_calls_give_equal_reports(self):
+        assert exhaustive_inf(3) == exhaustive_inf(3)
+        assert exact_average(2) == exact_average(2)
+        assert monte_carlo_average(6, 50, 1) == monte_carlo_average(6, 50, 1)
+
     def test_report_serializes_to_json(self):
         rep = monte_carlo_average(3, 10, seed=5)
         doc = json.loads(json.dumps(dataclasses.asdict(rep)))
@@ -643,6 +650,20 @@ class TestTheorem7:
         with pytest.raises(EnumerationCapError):
             theorem7_witness(0.25, 5, mode="corner")
 
+    @pytest.mark.parametrize("eps", [0.05, 0.25, 0.4])
+    def test_partial_images_match_padded_construction(self, eps):
+        # image kk lives on its own 2^(kk+1) square; padding it to the largest square
+        # only repeats atoms, so its quasi-norm is bit for bit the same
+        K = 2
+        top = 2 ** (K + 1)
+        padded = []
+        for kk in range(K + 1):
+            coeffs = np.zeros((top, top))
+            for k in range(kk + 1):
+                coeffs[2**k : 2 ** (k + 1), 2**k : 2 ** (k + 1)] = 2.0 ** (-(3.0 + eps) * k / 2.0)
+            padded.append(quasinorm_phi_eps(rearrangement(eval_decoupled(coeffs)), eps))
+        assert theorem7_witness(eps, K, mode="full").partial_quasinorms == padded
+
     def test_eps_validated(self):
         with pytest.raises(ValueError):
             theorem7_witness(0.75, 1)
@@ -652,3 +673,44 @@ class TestTheorem7:
         for mode in ("full", "corner"):
             with pytest.raises(ValueError, match="K must be >= 0"):
                 theorem7_witness(0.25, -1, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: sup_norm_decoupled(np.ones((31, 40))), "decoupled scan dimension 31 exceeds cap 30"),
+        (lambda: sup_norm_undecoupled(np.ones((25, 25))),
+         "undecoupled scan dimension 25 exceeds cap 24"),
+        (lambda: walsh_sign_arrangement(6), "Walsh generation 6 exceeds cap 5"),
+        (lambda: exhaustive_inf(6), "exhaustive search dimension 6 exceeds cap 5"),
+        (lambda: exact_average(5), "exact average dimension 5 exceeds cap 4"),
+        (lambda: monte_carlo_average(17, 10, 0), "Monte-Carlo dimension 17 exceeds cap 16"),
+        (lambda: eval_decoupled(np.ones((14, 14))), "14x14 decoupled sign bits 28 exceeds cap 26"),
+        (lambda: eval_undecoupled(np.zeros((25, 25))),
+         "25x25 undecoupled sign bits 25 exceeds cap 24"),
+        (lambda: materialize_1d(np.ones(25)), "linear form sign bits 25 exceeds cap 24"),
+        (lambda: decouple_identity_rhs(np.zeros((13, 13)), 13),
+         "decoupling subset bits 13 exceeds cap 12"),
+        # no caps of their own: bounded by the scans and evaluations they call
+        (lambda: sidon_defect(5), "decoupled scan dimension 32 exceeds cap 30"),
+        (lambda: theorem7_witness(0.25, 3, mode="full"),
+         "16x16 decoupled sign bits 32 exceeds cap 26"),
+        (lambda: theorem7_witness(0.25, 5, mode="corner"),
+         "decoupled scan dimension 32 exceeds cap 30"),
+        # the block walk meets a cap at the same block however large K is
+        (lambda: theorem7_witness(0.25, 10**9, mode="full"),
+         "16x16 decoupled sign bits 32 exceeds cap 26"),
+        (lambda: theorem7_witness(0.25, 10**9, mode="corner"),
+         "decoupled scan dimension 32 exceeds cap 30"),
+    ],
+    ids=[
+        "sup_decoupled", "sup_undecoupled", "walsh", "exhaustive", "exact_average",
+        "monte_carlo", "eval_decoupled", "eval_undecoupled", "materialize_1d",
+        "decouple_identity", "sidon_defect", "theorem7_full", "theorem7_corner",
+        "theorem7_full_huge_K", "theorem7_corner_huge_K",
+    ],
+)
+def test_cap_error_names_size_and_cap(call, message):
+    with pytest.raises(EnumerationCapError) as info:
+        call()
+    assert str(info.value) == message
