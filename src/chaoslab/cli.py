@@ -308,10 +308,10 @@ def _cmd_norm(args, cfg: RunConfig) -> int:
 
 def _cmd_walsh(args, cfg: RunConfig) -> int:
     theta = extremal.walsh_sign_arrangement(args.k)
+    defect = extremal.sidon_defect(args.k) if args.defect else None  # a cap error prints nothing
     sys.stdout.write(matio.format_matrix_text(theta))
     payload = {"command": "walsh", "k": args.k, "n": int(theta.shape[0])}
     if args.defect:
-        defect = extremal.sidon_defect(args.k)
         payload["defect"] = defect
         print(f"defect={format_number(defect)}")
     emitter = _Emitter(cfg, "walsh", {"k": args.k, "defect": args.defect})

@@ -19,7 +19,8 @@ import numpy as np
 from .rearrange import Rearrangement, StepFunction, rearrangement
 
 _ORLICZ_TARGET = math.e - 1.0  # integral bound making ||chi_(0,1)|| = 1
-_ORLICZ_MAX_STEPS = 100  # a guard: from its start bound Newton takes under 10 steps
+_ORLICZ_MAX_STEPS = 100  # a guard: from its start Newton takes a few steps
+_ORLICZ_GROUP = 64  # steps per point of the coarse law that gives Newton its start
 
 
 def lp_norm(x: StepFunction, q: float) -> float:
@@ -66,33 +67,51 @@ def exp_moment(x: StepFunction, u: float) -> float:
 
 
 def orlicz_exp_norm(r: Rearrangement, rel_tol: float = 1e-10) -> float:
-    """Luxemburg norm for the exponential Orlicz function, by Newton's method in s = 1/u.
+    """Luxemburg norm for the exponential Orlicz function, by Newton's method on log J.
 
-    Solves I(s) = sum m_k expm1(v_k s) = e - 1 on the law scaled by the exact 2^-e that puts
-    max|x| in [1/2, 1), so any finite scale works; the norm is 2^e / s.  I is convex and
-    increasing, and I(s) >= M_k expm1(v_k s) for M_k the mass of the k largest steps, so from
-    s_0 = min_k log1p((e - 1)/M_k)/v_k >= root Newton falls monotonically to the root (in one
-    step if one value is nonzero).  It stops at a step <= rel_tol * s.  The norm of 0 is 0.
+    The norm is 1/s at the root of log J(s) = log(M + e - 1), J(s) = sum m_k exp(v_k s) and M
+    the total mass: there sum m_k expm1(v_k s) = e - 1, and as J is near e exp loses nothing to
+    expm1.  It is solved on the law scaled by the exact 2^-e that puts max|x| in [1/2, 1), so
+    any finite scale works; the norm is 2^e / s.  log J is convex and increasing, so Newton falls
+    monotonically from above, to a step <= rel_tol * s.  It starts at the root of the law
+    coarsened to mean values over ``_ORLICZ_GROUP`` steps, above by Jensen, capped by
+    log1p((e - 1)/M_k)/v_k at each group's first step, M_k the mass up to it, as a group that
+    mixes large values and 0 has its root far above.  The norm of 0 is 0.
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
     if r.values[0] == 0.0:
         return 0.0
     e = math.frexp(float(r.values[0]))[1]
-    vals = np.ldexp(r.values, -e)
-    buf = np.cumsum(r.masses)  # the one buffer: the start bound, then each step's terms
+    return math.ldexp(1.0 / _orlicz_root(np.ldexp(r.values, -e), r.masses, rel_tol)[0], e)
+
+
+def _orlicz_root(vals: np.ndarray, masses: np.ndarray, rel_tol: float) -> tuple[float, int]:
+    """The root s on a scaled law and the full-law Newton steps it took."""
+    starts = np.arange(0, vals.size, _ORLICZ_GROUP)
+    buf = np.multiply(masses, vals)  # the one buffer: m v for the group means, then each step
+    mass = np.add.reduceat(masses, starts)
+    mean = np.add.reduceat(buf, starts) / mass
+    cum = np.cumsum(mass)
+    target = math.log(float(cum[-1]) + _ORLICZ_TARGET)
     with np.errstate(divide="ignore", over="ignore"):
-        np.log1p(np.divide(_ORLICZ_TARGET, buf, out=buf), out=buf)
-        s = float(np.min(np.divide(buf, vals, out=buf)))
-        for _ in range(_ORLICZ_MAX_STEPS):
-            np.expm1(np.multiply(vals, s, out=buf), out=buf)
-            excess = float(np.dot(r.masses, buf)) - _ORLICZ_TARGET
-            buf += 1.0
-            buf *= vals
-            step = excess / float(np.dot(r.masses, buf))
-            s -= step
-            if abs(step) <= rel_tol * s:
-                return math.ldexp(1.0 / s, e)
+        step_bounds = np.log1p(_ORLICZ_TARGET / (cum - mass + masses[starts])) / vals[starts]
+        s = float(np.min(np.log1p(_ORLICZ_TARGET / cum) / mean))
+    if s < math.inf:  # else a mean underflowed and the group-start bounds alone must do
+        s = _newton_log_j(mean, mass, target, s, rel_tol, cum)[0]
+    return _newton_log_j(vals, masses, target, min(s, float(step_bounds.min())), rel_tol, buf)
+
+
+def _newton_log_j(vals, masses, target: float, s: float, rel_tol: float, buf) -> tuple[float, int]:
+    """Newton on log J(s) = target from s, working in ``buf``; returns (root, steps taken)."""
+    for steps in range(1, _ORLICZ_MAX_STEPS + 1):
+        np.exp(np.multiply(vals, s, out=buf), out=buf)
+        j = float(np.dot(masses, buf))
+        buf *= vals
+        step = (math.log(j) - target) * j / float(np.dot(masses, buf))
+        s -= step
+        if abs(step) <= rel_tol * s or (step < 0.0 and steps > 1):  # a late rise is rounding
+            return s, steps
     raise ArithmeticError(f"orlicz Newton failed to converge in {_ORLICZ_MAX_STEPS} steps")
 
 

@@ -223,7 +223,11 @@ def suite_theorem7(cfg: RunConfig, res: SuiteResult) -> None:
     eps = cfg.suite_float("theorem7", "eps")
     k_max = cfg.suite_int("theorem7", "k_max")
     mode = cfg.suite_str("theorem7", "mode")
-    report = extremal.theorem7_witness(eps, k_max, mode=mode)
+    try:
+        report = extremal.theorem7_witness(eps, k_max, mode=mode)
+    except EnumerationCapError as exc:
+        res.skip(f"witness.k{k_max}", str(exc))
+        return
     for blk in report.blocks:
         res.add(
             f"signed_sup.k{blk.k}", blk.signed_sup <= blk.signed_bound,

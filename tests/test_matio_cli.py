@@ -312,6 +312,12 @@ class TestCliWalsh:
     def test_cap_exit_3(self, outdir):
         assert run_cli(["walsh", "--k", "7"], outdir) == 3
 
+    def test_defect_over_cap_prints_nothing(self, outdir, capsys):
+        # the 32x32 arrangement is in cap, its defect scan is not: no matrix may reach stdout
+        assert run_cli(["--format", "both", "walsh", "--k", "5", "--defect"], outdir) == 3
+        assert capsys.readouterr().out == ""
+        assert not outdir.exists() or not any(outdir.iterdir())
+
 
 class TestCliExitCodes:
     @pytest.mark.parametrize(
@@ -391,6 +397,15 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "[SKIP] theorem5.inf.n9" in out
         assert "suite theorem5: PASS" in out
+
+    def test_theorem7_over_cap_skips_check(self, tmp_path, outdir, capsys):
+        # full mode at K = 3 builds a 16x16 image, over the 26-bit cap of eval_decoupled
+        cfg = tmp_path / "k3.cfg"
+        cfg.write_text("[theorem7]\nk_max = 3\n")
+        assert cli.main(["--config", str(cfg), "--out", str(outdir), "verify", "theorem7"]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^\[SKIP\] theorem7\.witness\.k3 value=NA bound: .* exceeds cap", out, re.M)
+        assert "suite theorem7: PASS" in out
 
     def test_single_z_value_skips_monotone(self, tmp_path, outdir, capsys):
         cfg = tmp_path / "one.cfg"

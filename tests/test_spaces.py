@@ -16,6 +16,7 @@ from chaoslab.dyadic import StepFunction1D, materialize_1d
 from chaoslab.rearrange import Rearrangement, rearrangement
 from chaoslab.spaces import (
     SpaceSpec,
+    _orlicz_root,
     exp_moment,
     lorentz_norm,
     lp_norm,
@@ -306,6 +307,65 @@ class TestOrlicz:
         expected = 1.0 / math.log1p((E - 1.0) / t)
         value = orlicz_exp_norm(char_rearrangement(t))
         assert abs(value - expected) <= 4 * math.ulp(expected)
+
+    @pytest.mark.parametrize("t", [math.ldexp(1.0, -1023), 1e-308])
+    def test_subnormal_coarse_mean(self, t):
+        # the one group's mean value t/2 puts the coarse root past the largest double; the
+        # step-0 bound is still the root
+        expected = 1.0 / math.log1p((E - 1.0) / t)
+        value = orlicz_exp_norm(char_rearrangement(t))
+        assert abs(value - expected) <= 4 * math.ulp(expected)
+
+    def _assert_root(self, r, rel_tol):
+        """The solver against the bisection oracle and the root property I(u(1 -+ 1e-8))."""
+        value = orlicz_exp_norm(r, rel_tol)
+        expected = self._bisection_oracle(r, rel_tol)
+        # exp carries J = M + e - 1 at the root, so a total mass M costs about log2 M bits
+        bound = max(2.0 * rel_tol, 1e-13 * max(1.0, float(r.masses.sum())))
+        assert abs(value - expected) <= bound * expected
+        assert self._integral(r, value * (1.0 + 1e-8)) <= E - 1.0
+        assert self._integral(r, value * (1.0 - 1e-8)) > E - 1.0
+
+    @staticmethod
+    @st.composite
+    def _gapped_laws(draw):
+        """Several coarse groups, one hiding a 1e6 drop, a tiny top mass and maybe a zero tail."""
+        n = draw(st.integers(65, 300))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        vals = np.sort(rng.uniform(1.0, 2.0, n))[::-1]
+        vals[draw(st.integers(1, n - 1)):] *= 1e-6  # the steps after the drop
+        if draw(st.booleans()):
+            vals[-1] = 0.0
+        masses = rng.uniform(1.0, 8.0, n)
+        top = math.ldexp(1.0, -draw(st.integers(1, 60)))
+        masses *= (1.0 - top) / masses[1:].sum()
+        masses[0] = top
+        scale = draw(st.sampled_from([1e-3, 1.0, 300.0]))
+        return Rearrangement(values=vals * scale, masses=masses)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_gapped_laws(), st.sampled_from([1e-10, 1e-15]))
+    def test_gapped_laws_agree_with_bisection_oracle(self, r, rel_tol):
+        # the coarse root of a group that mixes large and small values lies far above
+        # the root; the group-start bounds must catch it
+        self._assert_root(r, rel_tol)
+
+    @pytest.mark.parametrize("total", [0.25, 3.0, 40.0, 1000.0])
+    @pytest.mark.parametrize("rel_tol", [1e-10, 1e-15])
+    def test_masses_not_summing_to_one(self, total, rel_tol):
+        # log J(s) = log(M + e - 1) is still I(s) = e - 1 when the masses sum to M; at
+        # M = 40 and rel_tol 1e-15 this law ends in rounding noise, stopped by a step up
+        r = rearrangement(eval_decoupled(np.random.default_rng(1).standard_normal((6, 7))))
+        self._assert_root(Rearrangement(values=r.values, masses=r.masses * total), rel_tol)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_three_newton_steps_on_a_gaussian_law(self, seed):
+        r = rearrangement(eval_decoupled(np.random.default_rng(seed).standard_normal((10, 10))))
+        assert r.values.size > 2**17
+        e = math.frexp(float(r.values[0]))[1]
+        s, steps = _orlicz_root(np.ldexp(r.values, -e), r.masses, 1e-10)
+        assert steps <= 3
+        assert math.ldexp(1.0 / s, e) == orlicz_exp_norm(r)
 
 
 class TestMarcinkiewicz:
