@@ -27,12 +27,13 @@ from .spaces import marcinkiewicz_norm, phi_eps, quasinorm_phi_eps
 
 SUP_DECOUPLED_CAP = 30
 SUP_UNDECOUPLED_CAP = 24
-EXHAUSTIVE_CAP = 5
-EXACT_AVERAGE_CAP = 4
+EXHAUSTIVE_CAP = 7
+EXACT_AVERAGE_CAP = 7
 MONTE_CARLO_CAP = 16
 WALSH_K_CAP = 5
 
 _CHUNK = 1 << 19  # bytes per block of a pair scan
+_MULTISET_BLOCK = 1 << 20  # multisets per block of the canonical scan
 _RNG_NAME = "philox4x64"
 
 
@@ -47,19 +48,6 @@ class SearchReport:
     seed: int
     stddev: float | None = None
     rng: str | None = None
-
-
-def _bit_fields(fields: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
-    """All 2^(fields*width) codes split into ``fields`` masks of ``width`` bits each.
-
-    Written column by column into ``out``, a (codes, fields) uint64 array or view, if given.
-    """
-    codes = np.arange(2 ** (fields * width), dtype=np.uint64)
-    if out is None:
-        out = np.empty((codes.size, fields), dtype=np.uint64)
-    for f in range(fields):
-        np.bitwise_and(codes >> np.uint64(f * width), np.uint64(2**width - 1), out=out[:, f])
-    return out
 
 
 def _half_scores(cols: np.ndarray, masks: np.ndarray, shift: int, width: int) -> np.ndarray:
@@ -242,45 +230,134 @@ def walsh_sign_arrangement(k: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(rev[:, None] & idx[None, :]) & 1)
 
 
+def _join(prefix: np.ndarray, suffix: np.ndarray) -> np.ndarray:
+    """Rows prefix[r] + suffix[t] for every suffix row t whose head is at least the tail of
+    prefix row r, prefix rows outermost.
+
+    Both tables hold nondecreasing rows in lexicographic order, so the suffix rows that a
+    prefix row joins are a tail of the table and the joined rows are again nondecreasing and
+    in lexicographic order.
+    """
+    if prefix.shape[1] and suffix.shape[1]:
+        start = np.searchsorted(suffix[:, 0], prefix[:, -1])
+    else:
+        start = np.zeros(prefix.shape[0], dtype=np.intp)
+    counts = suffix.shape[0] - start
+    ends = np.cumsum(counts)
+    picks = np.arange(ends[-1]) + np.repeat(start + counts - ends, counts)
+    return np.hstack([np.repeat(prefix, counts, axis=0), suffix[picks]])
+
+
+def _nondecreasing(values: int, length: int) -> np.ndarray:
+    """All nondecreasing rows of ``length`` entries from range(values), in lexicographic order."""
+    column = np.arange(values, dtype=np.min_scalar_type(values - 1))[:, None]
+    table = column[:1, :0]
+    for _ in range(length):
+        table = _join(table, column)
+    return table
+
+
+def _multisets(values: int, size: int) -> Iterator[np.ndarray]:
+    """All C(values + size - 1, size) multisets of ``size`` entries from range(values), as
+    nondecreasing rows in lexicographic order, in blocks of at most ``_MULTISET_BLOCK`` rows
+    (or one prefix row's joins, if more).
+
+    Each block joins a run of rows of the prefix table (the first size // 2 entries) with the
+    suffix table (the rest), so no table larger than a block is built.
+    """
+    prefix, suffix = _nondecreasing(values, size // 2), _nondecreasing(values, size - size // 2)
+    rows = max(1, _MULTISET_BLOCK // suffix.shape[0])  # a prefix row joins the suffix table at most
+    for start in range(0, prefix.shape[0], rows):
+        yield _join(prefix[start : start + rows], suffix)
+
+
+def _canonical_scan(n: int) -> tuple[int, int]:
+    """(min, weighted sum) of the decoupled sup norm over the 2^((n-1)^2) canonical n x n sign
+    matrices, those whose row 0 and column 0 are all +1.
+
+    Permuting columns keeps the sup, so the other n - 1 columns are scanned as multisets of
+    their inner masks (rows 1..n-1), C(2^(n-1) + n - 2, n - 1) of them, each scored once by
+    ``_sign_scan``.  A multiset whose equal masks come in runs of mu_i stands for
+    (n-1)!/prod mu_i! canonical matrices, its weight; the weights sum to 2^((n-1)^2), and the
+    weighted sum of sups is an exact integer (below 2^42 at n = 7).
+    """
+    size = n - 1
+    best, total = n * n, 0  # no sup exceeds n^2
+    for block in _multisets(2**size, size):
+        cols = np.zeros((block.shape[0], n), dtype=np.uint8)  # column 0 is all +1: mask 0
+        np.left_shift(block, 1, out=cols[:, 1:])  # row 0 is +1: inner masks shift up a bit
+        run = np.ones(block.shape[0], dtype=np.int64)  # each entry's place in its run of equals
+        orders = np.ones(block.shape[0], dtype=np.int64)  # prod mu_i!
+        for t in range(1, size):
+            run = np.where(block[:, t] == block[:, t - 1], run + 1, 1)
+            orders *= run
+        phis = _sign_scan(cols, n)
+        best = min(best, int(phis.min()))
+        total += int(np.dot(math.factorial(size) // orders, phis))
+    return best, total
+
+
+def _symmetric_inf(n: int) -> int:
+    """Minimum over symmetric n x n sign matrices theta of max over eps of |eps^T theta eps|.
+
+    D theta D for a diagonal sign matrix D, and -theta, keep the sup, so row 0 of theta is
+    pinned to +1 (theta_0j for j >= 1 by D, then theta_00 by -D theta D with D = diag(1, -1,
+    ..., -1)): 2^(n(n-1)/2) matrices.  The free bits weigh 2 eps_i eps_j off the
+    diagonal and 1 on it, the pinned ones add the constant 1 + 2 sum_(j>=1) eps_j, and the
+    forms are small integers, so the scan pairs an int8 table of the low free bits with one of
+    the high ones (the constant added), eps (first sign +1) outermost, in blocks of at most
+    ``_CHUNK`` bytes.
+    """
+    eps = full_sign_matrix(n)[::2, 1:]  # (E, n - 1): the first sign, +1, left out
+    i, j = np.triu_indices(n - 1, 1)
+    weights = np.vstack([2.0 * (eps[:, i] * eps[:, j]).T, np.ones((n - 1, eps.shape[0]))])
+    const = 1.0 + 2.0 * eps.sum(axis=1)
+    bits = min(weights.shape[0], (_CHUNK // eps.shape[0]).bit_length() - 1)  # low free bits
+    kind = np.min_scalar_type(-n * n)  # every |eps^T theta eps| is at most n^2
+    low = np.ascontiguousarray(linear_forms(weights[:bits]).T, dtype=kind)  # (E, 2^bits)
+    high = np.ascontiguousarray((linear_forms(weights[bits:]) + const).T, dtype=kind)
+    rows = max(1, _CHUNK // low.size)  # high rows per block
+    best = n * n
+    for start in range(0, high.shape[1], rows):
+        block = np.add(low[:, None, :], high[:, start : start + rows, None])
+        best = min(best, int(np.maximum.reduce(np.abs(block, out=block), axis=0).min()))
+    return best
+
+
 def exhaustive_inf(n: int, symmetric: bool = False) -> SearchReport:
     """Exact minimum of the sup norm over all sign matrices.
 
-    Decoupled mode canonicalizes by row/column sign flips (first row and
-    column pinned to +1), shrinking the scan to 2^((n-1)^2) matrices; flipping
-    a row or column permutes the sign vectors so the sup norm is unchanged.
-    Symmetric mode enumerates all 2^(n(n+1)/2) symmetric matrices directly.
+    Decoupled mode: flipping a row or a column permutes the sign vectors and so keeps the
+    sup, and every flip orbit holds one matrix with row 0 and column 0 all +1.  The minimum
+    over these 2^((n-1)^2) canonical matrices, the ``samples`` reported, is taken over
+    multisets of their other columns (``_canonical_scan``).  Symmetric mode minimizes
+    max |eps^T theta eps| over all 2^(n(n+1)/2) symmetric matrices, the ``samples`` reported,
+    scanning the 2^(n(n-1)/2) with row 0 pinned to +1 (``_symmetric_inf``).  The minimum is
+    3n - 4 for n = 2..7 in decoupled mode.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     EnumerationCapError.check("exhaustive search dimension", n, EXHAUSTIVE_CAP)
-    if not symmetric:
-        # column 0 is all +1 (mask 0); row 0 is +1, so inner masks shift up one bit
-        cols = np.zeros((2 ** ((n - 1) ** 2), n), dtype=np.uint64)
-        _bit_fields(n - 1, n - 1, out=cols[:, 1:])
-        cols[:, 1:] <<= np.uint64(1)
-        value = float(_sign_scan(cols, n).min())
-        samples = int(cols.shape[0])
+    if symmetric:
+        value, samples = _symmetric_inf(n), 2 ** (n * (n + 1) // 2)
     else:
-        # theta's off-diagonal bits weigh 2 eps_i eps_j and its diagonal bits 1; the sums
-        # are integers, so the doubling pass over all theta is exact
-        i, j = np.triu_indices(n, 1)
-        eps = full_sign_matrix(n)[::2]  # (E, n), first sign +1
-        weights = np.vstack([2.0 * (eps[:, i] * eps[:, j]).T, np.ones((n, eps.shape[0]))])
-        quad = linear_forms(weights)
-        np.abs(quad, out=quad)
-        value = float(quad.max(axis=1).min())
-        samples = int(quad.shape[0])
-    return SearchReport(n=n, mode="exhaustive", value=value, samples=samples, seed=0)
+        value, samples = _canonical_scan(n)[0], 2 ** ((n - 1) ** 2)
+    return SearchReport(n=n, mode="exhaustive", value=float(value), samples=samples, seed=0)
 
 
 def exact_average(n: int) -> SearchReport:
-    """Exact mean of the decoupled sup norm over all 2^(n^2) sign matrices."""
+    """Exact mean of the decoupled sup norm over all 2^(n^2) sign matrices.
+
+    Each row and column flip orbit holds 2^(2n-1) matrices, one of them canonical (row 0 and
+    column 0 all +1), so the mean is the weighted sum of ``_canonical_scan`` over
+    2^((n-1)^2), an exact integer divided by a power of two: exact in a double for n <= 7.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     EnumerationCapError.check("exact average dimension", n, EXACT_AVERAGE_CAP)
-    phis = _sign_scan(_bit_fields(n, n), n)
-    return SearchReport(n=n, mode="exhaustive_average", value=float(phis.mean()),
-                        samples=int(phis.size), seed=0)
+    total = _canonical_scan(n)[1]
+    return SearchReport(n=n, mode="exhaustive_average", value=total / 2 ** ((n - 1) ** 2),
+                        samples=2 ** (n * n), seed=0)
 
 
 def monte_carlo_average(n: int, samples: int, seed: int) -> SearchReport:

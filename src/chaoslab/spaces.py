@@ -21,6 +21,18 @@ from .rearrange import Rearrangement, StepFunction, rearrangement
 _ORLICZ_TARGET = math.e - 1.0  # integral bound making ||chi_(0,1)|| = 1
 _ORLICZ_MAX_STEPS = 100  # a guard: from its start Newton takes a few steps
 _ORLICZ_GROUP = 64  # steps per point of the coarse law that gives Newton its start
+# exp is over 100x slower where its result is subnormal, and over 10x where it underflows to 0;
+# a sum that holds exp(0) = 1 loses nothing when its exponents are clamped here, as 2^26
+# atoms of e^-700 lie far below one ulp of 1
+_EXP_FLOOR = -700.0
+
+
+def _sum_exp(exponents: np.ndarray, lowest: float = -math.inf) -> float:
+    """Sum of exp over ``exponents``, whose max is 0, worked in place and clamped at the floor;
+    ``lowest``, a lower bound on the exponents, spares the min pass when it is above the floor."""
+    if lowest < _EXP_FLOOR and exponents.min() < _EXP_FLOOR:
+        np.maximum(exponents, _EXP_FLOOR, out=exponents)
+    return float(np.sum(np.exp(exponents, out=exponents)))
 
 
 def lp_norm(x: StepFunction, q: float) -> float:
@@ -29,7 +41,7 @@ def lp_norm(x: StepFunction, q: float) -> float:
     Sums over the atoms of ``x.law_atoms()``.  ``max|x|`` is factored out of the powers,
     so no q or scale overflows or underflows.  The powers are exp(q log v) in place:
     ``**`` falls into libm pow's slow path when v^q underflows, as it does for most atoms
-    at large q.
+    at large q; ``_sum_exp`` keeps exp itself out of its slow range.
     """
     if not q >= 1:  # also rejects NaN
         raise ValueError(f"q must be >= 1, got {q}")
@@ -42,8 +54,7 @@ def lp_norm(x: StepFunction, q: float) -> float:
     with np.errstate(divide="ignore"):
         np.log(vals, out=vals)  # log 0 = -inf, and exp(-inf) = 0
     vals *= q
-    np.exp(vals, out=vals)
-    return top * float(np.sum(vals) * weight) ** (1.0 / q)
+    return top * (_sum_exp(vals) * weight) ** (1.0 / q)
 
 
 def exp_moment(x: StepFunction, u: float) -> float:
@@ -60,7 +71,7 @@ def exp_moment(x: StepFunction, u: float) -> float:
     exponents += math.log(weight)
     peak = float(exponents.max())
     exponents -= peak
-    log_sum = peak + math.log(float(np.sum(np.exp(exponents, out=exponents))))
+    log_sum = peak + math.log(_sum_exp(exponents, math.log(weight) - peak))  # |x| >= 0
     if log_sum > 709.0:
         return math.inf
     return math.exp(log_sum) - 1.0
@@ -97,7 +108,9 @@ def _orlicz_root(vals: np.ndarray, masses: np.ndarray, rel_tol: float) -> tuple[
     with np.errstate(divide="ignore", over="ignore"):
         step_bounds = np.log1p(_ORLICZ_TARGET / (cum - mass + masses[starts])) / vals[starts]
         s = float(np.min(np.log1p(_ORLICZ_TARGET / cum) / mean))
-    if s < math.inf:  # else a mean underflowed and the group-start bounds alone must do
+    # one group: its closed form s is the coarse root; an infinite s means a mean underflowed,
+    # and the group-start bounds alone must do
+    if starts.size > 1 and s < math.inf:
         s = _newton_log_j(mean, mass, target, s, rel_tol, cum)[0]
     return _newton_log_j(vals, masses, target, min(s, float(step_bounds.min())), rel_tol, buf)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -550,7 +551,72 @@ class TestExhaustiveInf:
 
     def test_cap(self):
         with pytest.raises(EnumerationCapError):
-            exhaustive_inf(6)
+            exhaustive_inf(8)
+
+    def test_n6_pinned(self):
+        rep = exhaustive_inf(6)
+        assert (rep.value, rep.samples) == (14.0, 2**25)
+        rep = exhaustive_inf(6, symmetric=True)
+        assert (rep.value, rep.samples) == (10.0, 2**21)
+
+
+def canonical_masks(n):
+    """Column masks of all 2^((n-1)^2) n x n sign matrices with row 0 and column 0 all +1."""
+    codes = np.arange(2 ** ((n - 1) ** 2), dtype=np.uint64)
+    cols = np.zeros((codes.size, n), dtype=np.uint64)
+    width = np.uint64(n - 1)
+    for f in range(1, n):
+        inner = (codes >> np.uint64(f - 1) * width) & np.uint64(2 ** (n - 1) - 1)
+        cols[:, f] = inner << np.uint64(1)  # row 0 is +1
+    return cols
+
+
+def unpinned_symmetric_inf(n):
+    """Minimum of max |eps^T theta eps| over every symmetric sign matrix, row 0 not pinned."""
+    i, j = np.triu_indices(n, 1)
+    eps = full_sign_matrix(n)[::2]
+    weights = np.vstack([2.0 * (eps[:, i] * eps[:, j]).T, np.ones((n, eps.shape[0]))])
+    return float(np.abs(linear_forms(weights)).max(axis=1).min())
+
+
+class TestCanonicalScans:
+    """The multiset scan of canonical matrices and the pinned symmetric search against full scans."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 300))
+    @example(5, 1)  # one prefix row per block
+    def test_matches_every_canonical_matrix(self, n, block):
+        # a small block makes the generator join prefix and suffix tables at every n
+        phis = extremal._sign_scan(canonical_masks(n), n)
+        with mock.patch.object(extremal, "_MULTISET_BLOCK", block):
+            assert extremal._canonical_scan(n) == (int(phis.min()), int(phis.sum()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 4), st.integers(1, 50))
+    @example(2, 1, 1)  # past one block with one entry: an empty prefix table
+    def test_multisets_in_lexicographic_order(self, values, size, block):
+        with mock.patch.object(extremal, "_MULTISET_BLOCK", block):
+            blocks = list(extremal._multisets(values, size))
+        rows = [tuple(int(v) for v in row) for b in blocks for row in b]
+        assert rows == list(itertools.combinations_with_replacement(range(values), size))
+        # a block outgrows its size only to hold one prefix row's joins, a suffix table at most
+        suffixes = math.comb(values + size - size // 2 - 1, size - size // 2)
+        assert all(b.shape[0] <= max(block, suffixes) for b in blocks)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_weights_sum_to_canonical_count(self, n):
+        def count(cols, n):
+            return np.ones(cols.shape[0], dtype=np.int64)
+
+        with mock.patch.object(extremal, "_sign_scan", count):
+            assert extremal._canonical_scan(n) == (1, 2 ** ((n - 1) ** 2))
+
+    @pytest.mark.parametrize("chunk", [extremal._CHUNK, 2**8], ids=["one_block", "split"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pinned_symmetric_matches_unpinned(self, n, chunk):
+        # 256-byte blocks split the free bits into low and high tables from n = 4 on
+        with mock.patch.object(extremal, "_CHUNK", chunk):
+            assert extremal._symmetric_inf(n) == unpinned_symmetric_inf(n)
 
 
 class TestAverages:
@@ -561,6 +627,11 @@ class TestAverages:
 
     def test_exact_average_n1(self):
         assert exact_average(1).value == 1.0
+
+    def test_exact_average_n5_n6_pinned(self):
+        rep = exact_average(5)
+        assert (rep.value, rep.samples) == (479235 / 2**15, 2**25)
+        assert exact_average(6).value == 40113495 / 2**21
 
     def test_monte_carlo_n1_exact(self):
         assert monte_carlo_average(1, 5, seed=7).value == 1.0
@@ -682,8 +753,8 @@ class TestTheorem7:
         (lambda: sup_norm_undecoupled(np.ones((25, 25))),
          "undecoupled scan dimension 25 exceeds cap 24"),
         (lambda: walsh_sign_arrangement(6), "Walsh generation 6 exceeds cap 5"),
-        (lambda: exhaustive_inf(6), "exhaustive search dimension 6 exceeds cap 5"),
-        (lambda: exact_average(5), "exact average dimension 5 exceeds cap 4"),
+        (lambda: exhaustive_inf(8), "exhaustive search dimension 8 exceeds cap 7"),
+        (lambda: exact_average(8), "exact average dimension 8 exceeds cap 7"),
         (lambda: monte_carlo_average(17, 10, 0), "Monte-Carlo dimension 17 exceeds cap 16"),
         (lambda: eval_decoupled(np.ones((14, 14))), "14x14 decoupled sign bits 28 exceeds cap 26"),
         (lambda: eval_undecoupled(np.zeros((25, 25))),

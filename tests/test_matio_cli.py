@@ -103,7 +103,7 @@ DEFAULT_SUITE_SNAPSHOT = {
     "orlicz.t_values": "1, 0.5, 0.25, 0.0625",
     "orlicz.tol": "1e-8",
     "proposition.k_values": "0, 1, 2, 3, 4",
-    "theorem5.exhaustive_n": "2, 3, 4, 5",
+    "theorem5.exhaustive_n": "2, 3, 4, 5, 6",
     "theorem5.mc_n": "4, 8, 12",
     "theorem6.n_max": "8",
     "theorem6.trials": "100",

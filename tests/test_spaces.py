@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from chaoslab.chaos import eval_decoupled
 from chaoslab.dyadic import StepFunction1D, materialize_1d
+from chaoslab import spaces
 from chaoslab.rearrange import Rearrangement, rearrangement
 from chaoslab.spaces import (
     SpaceSpec,
@@ -148,6 +150,53 @@ class TestLp:
         mean = Fraction(sum(power(abs(v)) for v in values), power(top) * len(values))
         want = top * float(mean) ** (1.0 / q)
         assert abs(lp_norm(x, q) - want) <= 1e-13 * want
+
+
+def window_logs(min_bits, near=0.0):
+    """Log ratios to the top atom for the other 2^bits - 1 atoms of a law, bits >= min_bits,
+    at most ``near`` and most of them in or past exp's subnormal window [-745, -708]."""
+    ratio = st.one_of(st.floats(-800.0, -700.0), st.floats(-60.0, near))
+    return st.integers(min_bits, 8).flatmap(
+        lambda bits: st.lists(ratio, min_size=2**bits - 1, max_size=2**bits - 1)
+    )
+
+
+class TestExpFloor:
+    """Exponents clamped at the floor before exp lose nothing against the exact sums."""
+
+    def test_clamps_only_below_the_floor(self):
+        exponents = np.array([0.0, -1.0, -720.0, -math.inf])
+        assert spaces._sum_exp(exponents) == 1.0 + math.exp(-1.0)
+        assert exponents[2] == exponents[3] == math.exp(spaces._EXP_FLOOR)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-3, 1e3), window_logs(1), st.sampled_from([80.0, 400.0, 1000.0]))
+    def test_lp_norm_against_fsum(self, top, logs, q):
+        values = np.array([top] + [top * math.exp(t / q) for t in logs])
+        x = StepFunction1D(n=int(math.log2(values.size)), values=values)
+        ratios = values / top
+        want = top * (math.fsum(r**q for r in ratios) / values.size) ** (1.0 / q)
+        with np.errstate(divide="ignore"):  # the unclamped sum, as exp gives it
+            plain = top * float(np.sum(np.exp(np.log(ratios) * q)) / values.size) ** (1.0 / q)
+        got = lp_norm(x, q)
+        assert abs(got - want) <= 1e-15 * want
+        assert abs(got - plain) <= 1e-15 * plain
+
+    @settings(max_examples=60, deadline=None)
+    @given(window_logs(6, near=-10.0))
+    def test_exp_moment_against_fsum(self, logs):
+        # exponents reach the window only when u max|x| nears 709: here u = 1 and max|x| = 712,
+        # so the moment stays finite only with a top atom of mass 2^-6 or less, the rest far below
+        values = np.array([712.0] + [max(0.0, 712.0 + t) for t in logs])
+        x = StepFunction1D(n=int(math.log2(values.size)), values=values)
+        total = math.fsum(math.exp(v - 712.0) for v in values)
+        want = math.exp(712.0 + math.log(total / values.size)) - 1.0
+        peak = 712.0 - math.log(values.size)  # the top atom's exponent, weight included
+        exponents = values - math.log(values.size) - peak  # unclamped, as exp gives them
+        plain = math.exp(peak + math.log(float(np.sum(np.exp(exponents))))) - 1.0
+        got = exp_moment(x, 1.0)
+        assert abs(got - want) <= 1e-12 * want
+        assert abs(got - plain) <= 1e-15 * plain
 
 
 class TestExpMoment:
@@ -357,6 +406,16 @@ class TestOrlicz:
         # M = 40 and rel_tol 1e-15 this law ends in rounding noise, stopped by a step up
         r = rearrangement(eval_decoupled(np.random.default_rng(1).standard_normal((6, 7))))
         self._assert_root(Rearrangement(values=r.values, masses=r.masses * total), rel_tol)
+
+    def test_one_group_law_skips_the_coarse_newton(self):
+        # a law of at most _ORLICZ_GROUP steps coarsens to one point, whose root is the
+        # closed form log1p((e - 1)/M)/mean: only the full-law Newton runs
+        r = rearrangement(eval_decoupled(np.arange(1.0, 13.0).reshape(3, 4)))
+        assert r.values.size <= spaces._ORLICZ_GROUP
+        with mock.patch.object(spaces, "_newton_log_j", wraps=spaces._newton_log_j) as newton:
+            orlicz_exp_norm(r)
+        assert newton.call_count == 1
+        self._assert_root(r, 1e-10)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_three_newton_steps_on_a_gaussian_law(self, seed):

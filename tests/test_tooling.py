@@ -1,14 +1,17 @@
-"""Static checks on the package sources: allowed imports only, and every import used."""
+"""Static checks on the package sources and docs: allowed imports only, every import used,
+and the README's caps at their values in the code."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "chaoslab").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "chaoslab").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "chaoslab"}
 
 
@@ -48,3 +51,33 @@ def test_imports_are_allowed_and_used(path):
     used = _used_names(tree)
     unused = sorted({name for _, name in imports if name not in used})
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+# each search cap in extremal.py, and the phrase that states it in README's "Caps" section
+README_CAPS = {
+    "EXHAUSTIVE_CAP": "exhaustive minimization up to `n = {}`",
+    "EXACT_AVERAGE_CAP": "exact averages up to `n = {}`",
+    "MONTE_CARLO_CAP": "Monte-Carlo up to `n = {}`",
+    "WALSH_K_CAP": "Walsh arrangements up to `k = {}`",
+}
+
+
+def _caps_section() -> str:
+    """README's "Caps" section, whitespace runs folded to one space."""
+    text = (ROOT / "README.md").read_text()
+    section = re.search(r"^## Caps\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    assert section, "README has no '## Caps' section"
+    return " ".join(section.group(1).split())
+
+
+@pytest.mark.parametrize("name", sorted(README_CAPS))
+def test_readme_states_search_cap(name):
+    tree = ast.parse((ROOT / "src" / "chaoslab" / "extremal.py").read_text())
+    caps = {
+        node.targets[0].id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.Constant)
+    }
+    phrase = README_CAPS[name].format(caps[name])
+    assert phrase in _caps_section(), f"README's Caps section does not say {phrase!r}"
