@@ -1,10 +1,14 @@
 """Command-line front end: supnorm, verify, scaling, norm, walsh.
 
 Exit codes: 0 success, 1 check failure, 2 usage or parse error, 3 resource
-cap exceeded.  Every artifact embeds the effective configuration snapshot
-(CSV as a leading ``# config`` comment line, JSON under a ``config`` key) and
-artifacts are cached under the output directory keyed by the snapshot hash,
-so re-running an identical command re-emits byte-identical files.
+cap exceeded.  ``_emit`` writes every artifact.  verify, scaling and walsh
+have a CSV and a JSON form and write those that ``--format`` asks for;
+supnorm and norm write JSON whatever it asks.  A JSON artifact embeds the
+effective configuration snapshot under a ``config`` key and the verify and
+scaling CSVs lead with a ``# config`` comment line, while ``walsh-k<K>.csv``
+is a bare matrix file that supnorm and norm read back.  Artifacts are cached
+under the output directory keyed by command, parameters and snapshot, so
+re-running an identical command re-emits byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from pathlib import Path
 
 from . import extremal, matio, spaces
 from .chaos import eval_decoupled, eval_undecoupled
-from .config import RunConfig, load_config
+from .config import FORMATS, RunConfig, load_config
 from .errors import EnumerationCapError, MatrixParseError
 from .matio import format_number
 from .rearrange import rearrangement
@@ -41,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH", help="config file overlaying the packaged defaults")
     parser.add_argument("--seed", type=int, metavar="U64", help="override the run seed")
     parser.add_argument("--out", metavar="DIR", help="output directory for artifacts")
-    parser.add_argument("--format", choices=["csv", "json", "both"], help="artifact format")
+    parser.add_argument("--format", choices=FORMATS, help="artifact format")
     parser.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -82,48 +86,39 @@ def _effective_config(args) -> RunConfig:
     return cfg
 
 
-def _formats(cfg: RunConfig) -> list[str]:
-    return ["csv", "json"] if cfg.out_format == "both" else [cfg.out_format]
+def _emit(cfg: RunConfig, command: str, params: dict, stem: str, payload, csv=None) -> str:
+    """Write ``<stem>.json`` from ``payload()`` plus the config snapshot, and ``<stem>.csv`` from
+    ``csv()``; returns the first text written.
 
+    A command with a CSV form writes the formats ``--format`` asks for, one without writes JSON
+    whatever it asks.  Texts are cached as ``.cache/<key>-<stem>.<ext>``, the key hashing command,
+    params and snapshot, and a cached text is replayed without calling its maker.
+    """
+    def to_json() -> str:
+        return json.dumps({**payload(), "config": cfg.snapshot()}, sort_keys=True, indent=2) + "\n"
 
-class _Emitter:
-    """Renders, caches and writes artifacts keyed by command + config snapshot."""
-
-    def __init__(self, cfg: RunConfig, command: str, params: dict):
-        self.cfg = cfg
-        self.out_dir = Path(cfg.out_dir)
-        key_obj = {"command": command, "params": params, "config": cfg.snapshot()}
-        self.key = hashlib.sha256(
-            json.dumps(key_obj, sort_keys=True).encode()
-        ).hexdigest()[:32]
-
-    def emit(self, stem: str, render: dict) -> dict[str, str]:
-        """render maps extension -> zero-arg callable producing the text."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        cache_dir = self.out_dir / ".cache"
-        texts: dict[str, str] = {}
-        for ext, make in render.items():
-            cache_file = cache_dir / f"{self.key}-{stem}.{ext}"
-            if self.cfg.cache and cache_file.exists():
-                text = cache_file.read_text()
-            else:
-                text = make()
-                if self.cfg.cache:
-                    cache_dir.mkdir(parents=True, exist_ok=True)
-                    cache_file.write_text(text)
-            (self.out_dir / f"{stem}.{ext}").write_text(text)
-            texts[ext] = text
-        return texts
+    exts = [e for e in ("csv", "json") if cfg.out_format in (e, "both")] if csv else ["json"]
+    key_obj = {"command": command, "params": params, "config": cfg.snapshot()}
+    key = hashlib.sha256(json.dumps(key_obj, sort_keys=True).encode()).hexdigest()[:32]
+    out_dir = Path(cfg.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    texts = []
+    for ext in exts:
+        cache_file = out_dir / ".cache" / f"{key}-{stem}.{ext}"
+        if cfg.cache and cache_file.exists():
+            text = cache_file.read_text()
+        else:
+            text = csv() if ext == "csv" else to_json()
+            if cfg.cache:
+                cache_file.parent.mkdir(exist_ok=True)
+                cache_file.write_text(text)
+        (out_dir / f"{stem}.{ext}").write_text(text)
+        texts.append(text)
+    return texts[0]
 
 
 def _config_comment(cfg: RunConfig) -> str:
     return "# config " + json.dumps(cfg.snapshot(), sort_keys=True)
-
-
-def _json_artifact(cfg: RunConfig, payload: dict) -> str:
-    doc = dict(payload)
-    doc["config"] = cfg.snapshot()
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _cmd_supnorm(args, cfg: RunConfig) -> int:
@@ -134,9 +129,8 @@ def _cmd_supnorm(args, cfg: RunConfig) -> int:
         value = extremal.sup_norm_undecoupled(a)
     n, m = a.shape
     print(f"supnorm mode={args.mode} n={n} m={m} value={format_number(value)}")
-    emitter = _Emitter(cfg, "supnorm", {"matrix": str(args.matrix), "mode": args.mode})
-    payload = {"command": "supnorm", "mode": args.mode, "n": n, "m": m, "value": value}
-    emitter.emit("supnorm", {"json": lambda: _json_artifact(cfg, payload)})
+    _emit(cfg, "supnorm", {"matrix": str(args.matrix), "mode": args.mode}, "supnorm",
+          lambda: {"command": "supnorm", "mode": args.mode, "n": n, "m": m, "value": value})
     return EXIT_OK
 
 
@@ -152,8 +146,8 @@ def _suite_csv(cfg: RunConfig, results: list[SuiteResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _suite_json(cfg: RunConfig, results: list[SuiteResult]) -> str:
-    payload = {
+def _suite_json(results: list[SuiteResult]) -> dict:
+    return {
         "command": "verify",
         "suites": [
             {
@@ -165,7 +159,6 @@ def _suite_json(cfg: RunConfig, results: list[SuiteResult]) -> str:
             for res in results
         ],
     }
-    return _json_artifact(cfg, payload)
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
@@ -180,57 +173,48 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         verdict = "PASS" if res.passed else "FAIL"
         buffered.append(f"suite {res.suite}: {verdict} ({res.wall_time:.2f}s)")
     print("\n".join(buffered))
-    emitter = _Emitter(cfg, "verify", {"suite": args.suite})
-    render = {}
-    if "csv" in _formats(cfg):
-        render["csv"] = lambda: _suite_csv(cfg, results)
-    if "json" in _formats(cfg):
-        render["json"] = lambda: _suite_json(cfg, results)
-    emitter.emit(f"verify-{args.suite}", render)
+    _emit(cfg, "verify", {"suite": args.suite}, f"verify-{args.suite}",
+          lambda: _suite_json(results), csv=lambda: _suite_csv(cfg, results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
-
-
-def _row(n: int, mode: str, value, samples: int, seed: int, elapsed: float) -> dict:
-    """One scaling row; a ``value`` of None makes it a skip row."""
-    return {
-        "n": n,
-        "mode": mode,
-        "value": value,
-        "ratio": None if value is None else value / n**1.5,
-        "samples": samples,
-        "seed": seed,
-        "elapsed_ms": elapsed * 1000.0,
-        "status": "skip" if value is None else "ok",
-    }
 
 
 def _scaling_rows(cfg: RunConfig, ns: list[int], samples: int) -> list[dict]:
     rows = []
 
     def add(n: int, mode: str, seed: int, run) -> None:
-        """Time ``run()``, which returns a SearchReport; over a cap, add a skip row."""
+        """Time ``run()``, which returns (value, samples); over a cap, add a skip row."""
         t0 = time.perf_counter()
         try:
-            rep = run()
+            value, covered = run()
+            elapsed = time.perf_counter() - t0
         except EnumerationCapError:
-            rows.append(_row(n, mode, None, 0, seed, 0.0))
-        else:
-            rows.append(_row(n, mode, rep.value, rep.samples, seed, time.perf_counter() - t0))
+            value, covered, elapsed = None, 0, 0.0
+        rows.append({
+            "n": n,
+            "mode": mode,
+            "value": value,
+            "ratio": None if value is None else value / n**1.5,
+            "samples": covered,
+            "seed": seed,
+            "elapsed_ms": elapsed * 1000.0,
+            "status": "skip" if value is None else "ok",
+        })
 
-    def walsh(n: int, k: int) -> extremal.SearchReport:
-        value = extremal.sup_norm_decoupled(extremal.walsh_sign_arrangement(k))
-        return extremal.SearchReport(n=n, mode="walsh", value=value, samples=2 ** (n - 1), seed=0)
+    def search(rep: extremal.SearchReport) -> tuple[float, int]:
+        return rep.value, rep.samples
 
     for n in ns:
         if 2 ** (n * n) <= samples and n <= extremal.EXACT_AVERAGE_CAP:
-            add(n, "exhaustive_average", 0, lambda: extremal.exact_average(n))
+            add(n, "exhaustive_average", 0, lambda: search(extremal.exact_average(n)))
         else:
             add(n, "monte_carlo", cfg.seed,
-                lambda: extremal.monte_carlo_average(n, samples, cfg.seed))
-        add(n, "exhaustive", 0, lambda: extremal.exhaustive_inf(n))
+                lambda: search(extremal.monte_carlo_average(n, samples, cfg.seed)))
+        add(n, "exhaustive", 0, lambda: search(extremal.exhaustive_inf(n)))
         k = n.bit_length() - 1
         if n == 2**k:
-            add(n, "walsh", 0, lambda: walsh(n, k))
+            add(n, "walsh", 0, lambda: (
+                extremal.sup_norm_decoupled(extremal.walsh_sign_arrangement(k)), 2 ** (n - 1)
+            ))
     return rows
 
 
@@ -264,18 +248,11 @@ def _cmd_scaling(args, cfg: RunConfig) -> int:
         print("error: --n must list positive integers", file=sys.stderr)
         return EXIT_USAGE
     samples = args.samples if args.samples is not None else cfg.samples
-    emitter = _Emitter(cfg, "scaling", {"n": ns, "samples": samples, "seed": cfg.seed})
-
-    compute = functools.cache(lambda: _scaling_rows(cfg, ns, samples))
-    render = {}
-    if "csv" in _formats(cfg):
-        render["csv"] = lambda: _scaling_csv(cfg, compute())
-    if "json" in _formats(cfg):
-        render["json"] = lambda: _json_artifact(
-            cfg, {"command": "scaling", "rows": compute()}
-        )
-    texts = emitter.emit("scaling", render)
-    print(texts.get("csv") or texts.get("json"), end="")
+    rows = functools.cache(lambda: _scaling_rows(cfg, ns, samples))
+    text = _emit(cfg, "scaling", {"n": ns, "samples": samples, "seed": cfg.seed}, "scaling",
+                 lambda: {"command": "scaling", "rows": rows()},
+                 csv=lambda: _scaling_csv(cfg, rows()))
+    print(text, end="")
     return EXIT_OK
 
 
@@ -291,18 +268,10 @@ def _cmd_norm(args, cfg: RunConfig) -> int:
     print(f"norm space={args.space} mode={args.mode} value={format_number(value)}")
     if r is not None:
         Path(args.export_rearrangement).write_text(matio.rearrangement_to_csv(r))
-    emitter = _Emitter(
-        cfg, "norm", {"matrix": str(args.matrix), "space": args.space, "mode": args.mode}
-    )
-    payload = {
-        "command": "norm",
-        "space": args.space,
-        "mode": args.mode,
-        "n": a.shape[0],
-        "m": a.shape[1],
-        "value": value,
-    }
-    emitter.emit("norm", {"json": lambda: _json_artifact(cfg, payload)})
+    n, m = a.shape
+    _emit(cfg, "norm", {"matrix": str(args.matrix), "space": args.space, "mode": args.mode}, "norm",
+          lambda: {"command": "norm", "space": args.space, "mode": args.mode, "n": n, "m": m,
+                   "value": value})
     return EXIT_OK
 
 
@@ -310,19 +279,13 @@ def _cmd_walsh(args, cfg: RunConfig) -> int:
     theta = extremal.walsh_sign_arrangement(args.k)
     defect = extremal.sidon_defect(args.k) if args.defect else None  # a cap error prints nothing
     sys.stdout.write(matio.format_matrix_text(theta))
-    payload = {"command": "walsh", "k": args.k, "n": int(theta.shape[0])}
+    doc = {"command": "walsh", "k": args.k, "n": int(theta.shape[0])}
     if args.defect:
-        payload["defect"] = defect
+        doc["defect"] = defect
         print(f"defect={format_number(defect)}")
-    emitter = _Emitter(cfg, "walsh", {"k": args.k, "defect": args.defect})
-    render = {}
-    if "csv" in _formats(cfg):
-        render["csv"] = lambda: matio.format_matrix_csv(theta)
-    if "json" in _formats(cfg):
-        render["json"] = lambda: _json_artifact(
-            cfg, {**payload, "matrix": [[int(v) for v in row] for row in theta]}
-        )
-    emitter.emit(f"walsh-k{args.k}", render)
+    _emit(cfg, "walsh", {"k": args.k, "defect": args.defect}, f"walsh-k{args.k}",
+          lambda: {**doc, "matrix": [[int(v) for v in row] for row in theta]},
+          csv=lambda: matio.format_matrix_csv(theta))
     return EXIT_OK
 
 

@@ -17,22 +17,19 @@ from importlib import resources
 from pathlib import Path
 
 
-def _flag(raw: str) -> bool:
-    return raw.strip().lower() not in ("false", "0", "no")
-
-
-# [run] key -> (RunConfig field, parser); drives both loading and the snapshot.
+# [run] key -> (RunConfig field, ConfigParser getter); drives both loading and the snapshot.
 _RUN_KEYS = {
-    "seed": ("seed", int),
-    "samples": ("samples", int),
-    "max_bits_1d": ("max_bits_1d", int),
-    "max_bits_2d": ("max_bits_2d", int),
-    "quad_rel_tol": ("quad_rel_tol", float),
-    "orlicz_rel_tol": ("orlicz_rel_tol", float),
-    "format": ("out_format", str),
-    "out": ("out_dir", str),
-    "cache": ("cache", _flag),
+    "seed": ("seed", "getint"),
+    "samples": ("samples", "getint"),
+    "max_bits_1d": ("max_bits_1d", "getint"),
+    "max_bits_2d": ("max_bits_2d", "getint"),
+    "quad_rel_tol": ("quad_rel_tol", "getfloat"),
+    "orlicz_rel_tol": ("orlicz_rel_tol", "getfloat"),
+    "format": ("out_format", "get"),
+    "out": ("out_dir", "get"),
+    "cache": ("cache", "getboolean"),
 }
+FORMATS = ("csv", "json", "both")
 
 
 @dataclass
@@ -85,12 +82,12 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     parser.read_string(resources.files("chaoslab").joinpath("default.cfg").read_text())
     if path is not None:
         parser.read_string(Path(path).read_text(), source=str(path))
-    sections = {name: dict(parser.items(name)) for name in parser.sections()}
-    run = sections["run"]
     cfg = RunConfig(
-        **{attr: parse(run[key]) for key, (attr, parse) in _RUN_KEYS.items()},
-        sections=sections,
+        **{attr: getattr(parser, get)("run", key) for key, (attr, get) in _RUN_KEYS.items()},
+        sections={name: dict(parser.items(name)) for name in parser.sections()},
     )
+    if cfg.out_format not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {cfg.out_format!r}")
     # Newton cannot resolve a relative step below the unit roundoff, so it would not stop
     if not cfg.orlicz_rel_tol >= sys.float_info.epsilon:
         raise ValueError(

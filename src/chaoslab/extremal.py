@@ -42,7 +42,7 @@ class SearchReport:
     """Outcome of one extremal computation, with enough state to reproduce it."""
 
     n: int
-    mode: str  # "exhaustive" | "exhaustive_average" | "monte_carlo" | "walsh"
+    mode: str  # "exhaustive" | "exhaustive_average" | "monte_carlo"
     value: float
     samples: int
     seed: int

@@ -35,8 +35,9 @@ StepFunction = StepFunction1D | StepFunction2D
 class Rearrangement:
     """Decreasing rearrangement as strictly decreasing (value, mass) steps.
 
-    Masses are positive and sum to the total measure 1; the function is read
-    left-continuously: x*(t) = values[k] for t in (bound[k-1], bound[k]].
+    Masses are positive and sum to a total mass M, which is 1 for every law
+    this package builds; ``orlicz_exp_norm`` reads any M.  The function is read
+    left-continuously on (0, M]: x*(t) = values[k] for t in (bound[k-1], bound[k]].
     """
 
     values: np.ndarray
@@ -60,9 +61,9 @@ class Rearrangement:
         return list(zip(self.values.tolist(), self.masses.tolist()))
 
     def at(self, t: float) -> float:
-        """Left-continuous evaluation x*(t) for t in (0, 1]."""
+        """Left-continuous evaluation x*(t) for t in (0, M]."""
         if not 0.0 < t <= self.bounds[-1] + 1e-15:
-            raise ValueError(f"t={t} outside (0, 1]")
+            raise ValueError(f"t={t} outside (0, {self.bounds[-1]:g}]")
         k = int(np.searchsorted(self.bounds, t, side="left"))
         k = min(k, self.values.size - 1)
         return float(self.values[k])
@@ -98,10 +99,6 @@ class Distribution:
         if k == 0:
             return 1.0
         return float(self.measure_above[k - 1])
-
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.thresholds.tolist(), self.measure_above.tolist()))
 
 
 def _sorted_steps(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:

@@ -279,30 +279,16 @@ def clt_kolmogorov_distance(n: int) -> float:
     """
     if n < 1 or n % 2 != 0:
         raise ValueError("n must be a positive even integer")
-    den = 2**n
-    masses = {}  # |n - 2b| -> integer numerator
-    for b in range(n + 1):
-        key = abs(n - 2 * b)
-        masses[key] = masses.get(key, 0) + math.comb(n, b)
-    keys = sorted(masses)
-    # integer tail: T[key] = #atoms with |n-2b| > key
-    tail_above = {}
-    running = 0
-    for key in reversed(keys):
-        tail_above[key] = running
-        running += masses[key]
-
-    def gauss_tail(z: float) -> float:
-        return math.erfc(z / math.sqrt(2.0))
-
-    dist = abs((running - masses.get(0, 0)) / den - 1.0)  # z -> 0+
-    for key in keys:
-        if key == 0:
-            continue
-        z = key / math.sqrt(n)
-        above = tail_above[key] / den
-        below = (tail_above[key] + masses[key]) / den
-        dist = max(dist, abs(above - gauss_tail(z)), abs(below - gauss_tail(z)))
+    den, h = 2**n, n // 2
+    # below and above count 2^n P(|S_n| >= 2j) and 2^n P(|S_n| > 2j) in integers; the atom
+    # |S_n| = 2j holds C(n, h) of the 2^n sign vectors at j = 0 and 2 C(n, h + j) above it
+    below = den - math.comb(n, h)
+    dist = abs(below / den - 1.0)  # z -> 0+
+    for j in range(1, h + 1):
+        above = below - 2 * math.comb(n, h + j)
+        gauss = math.erfc(2 * j / math.sqrt(n) / math.sqrt(2.0))
+        dist = max(dist, abs(above / den - gauss), abs(below / den - gauss))
+        below = above
     return dist
 
 

@@ -157,6 +157,24 @@ class TestConfig:
             **DEFAULT_SUITE_SNAPSHOT,
         }
 
+    @pytest.mark.parametrize("overlay, message", [
+        ("[run]\nformat = xml\n", "format must be one of csv, json, both, got 'xml'"),
+        ("[run]\ncache = maybe\n", "Not a boolean: maybe"),
+    ], ids=["format", "cache"])
+    def test_bad_run_value_rejected(self, tmp_path, overlay, message):
+        path = tmp_path / "user.cfg"
+        path.write_text(overlay)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_config(path)
+
+    @pytest.mark.parametrize("word, expected", [
+        ("off", False), ("0", False), ("on", True), ("Yes", True),
+    ])
+    def test_cache_reads_boolean_states(self, tmp_path, word, expected):
+        path = tmp_path / "user.cfg"
+        path.write_text(f"[run]\ncache = {word}\n")
+        assert load_config(path).cache is expected
+
     @pytest.mark.parametrize("overlay, expected", [
         ("[run]\nsamples = 40\n[theorem5]\nmc_n = 4\nsamples = 30\n", 30),
         ("[run]\nsamples = 40\n[theorem5]\nmc_n = 4\n", 40),
@@ -323,8 +341,8 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "case, code",
         [("missing", 2), ("directory", 2), ("parse", 2), ("lp_nan", 2),
-         ("config_value", 2), ("config_header", 2), ("orlicz_tol", 2), ("theorem7_k", 2),
-         ("cap", 3)],
+         ("config_value", 2), ("config_header", 2), ("config_format", 2), ("config_cache", 2),
+         ("orlicz_tol", 2), ("theorem7_k", 2), ("cap", 3)],
     )
     def test_one_error_line_no_traceback(self, tmp_path, case, code):
         good = tmp_path / "a.txt"
@@ -335,6 +353,8 @@ class TestCliExitCodes:
         big.write_text("25 25\n" + "\n".join(" ".join(["1"] * 25) for _ in range(25)) + "\n")
         (tmp_path / "value.cfg").write_text("[run]\nseed = x\n")
         (tmp_path / "header.cfg").write_text("seed = 3\n")
+        (tmp_path / "format.cfg").write_text("[run]\nformat = xml\n")
+        (tmp_path / "cache.cfg").write_text("[run]\ncache = maybe\n")
         (tmp_path / "tol.cfg").write_text("[run]\norlicz_rel_tol = 1e-17\n")
         (tmp_path / "k.cfg").write_text("[theorem7]\nk_max = -1\n")
         args = {
@@ -344,6 +364,9 @@ class TestCliExitCodes:
             "lp_nan": ["norm", str(good), "--space", "lp:nan"],
             "config_value": ["--config", str(tmp_path / "value.cfg"), "supnorm", str(good)],
             "config_header": ["--config", str(tmp_path / "header.cfg"), "supnorm", str(good)],
+            # verify, scaling and walsh once wrote nothing and exited 0 for an unknown format
+            "config_format": ["--config", str(tmp_path / "format.cfg"), "verify", "clt"],
+            "config_cache": ["--config", str(tmp_path / "cache.cfg"), "verify", "clt"],
             "orlicz_tol": ["--config", str(tmp_path / "tol.cfg"), "norm", str(good),
                            "--space", "orlicz-exp"],
             # a negative block count would build no block: zero checks, not a PASS
@@ -361,7 +384,10 @@ class TestCliExitCodes:
         assert "Traceback" not in proc.stderr
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        if case.startswith("config_"):
+            assert lines[0].startswith("error: bad config: "), proc.stderr
         assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
 
 
 class TestCliVerify:
@@ -471,6 +497,42 @@ class TestCliScaling:
 
     def test_bad_n_exit_2(self, outdir):
         assert run_cli(["scaling", "--n", "two"], outdir) == 2
+
+
+# command line, and the files it writes in --out under each --format
+ARTIFACTS = {
+    "supnorm": (["supnorm", "m.txt"], dict.fromkeys(["csv", "json", "both"], {"supnorm.json"})),
+    "norm": (["norm", "m.txt", "--space", "lp:3"],
+             dict.fromkeys(["csv", "json", "both"], {"norm.json"})),
+    "verify": (["verify", "clt"], {"csv": {"verify-clt.csv"}, "json": {"verify-clt.json"},
+                                   "both": {"verify-clt.csv", "verify-clt.json"}}),
+    "scaling": (["scaling", "--n", "1,2", "--samples", "8"],
+                {"csv": {"scaling.csv"}, "json": {"scaling.json"},
+                 "both": {"scaling.csv", "scaling.json"}}),
+    "walsh": (["walsh", "--k", "1"], {"csv": {"walsh-k1.csv"}, "json": {"walsh-k1.json"},
+                                      "both": {"walsh-k1.csv", "walsh-k1.json"}}),
+}
+
+
+class TestCliArtifacts:
+    @pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+    @pytest.mark.parametrize("command", sorted(ARTIFACTS))
+    def test_files_per_format_and_byte_identical_rerun(self, tmp_path, monkeypatch, command, fmt):
+        # a command without a CSV form writes its JSON whatever --format asks
+        args, written = ARTIFACTS[command]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.txt").write_text("2 2\n1 -1\n1 1\n")
+        argv = ["--out", "out", "--format", fmt, *args]
+
+        def files() -> dict[str, bytes]:
+            return {str(p.relative_to("out")): p.read_bytes()
+                    for p in Path("out").rglob("*") if p.is_file()}
+
+        assert cli.main(argv) == 0
+        first = files()
+        assert {name for name in first if not name.startswith(".cache")} == written[fmt]
+        assert cli.main(argv) == 0
+        assert files() == first
 
 
 class TestConsoleScript:

@@ -1,14 +1,17 @@
 """Static checks on the package sources and docs: allowed imports only, every import used,
-and the README's caps at their values in the code."""
+the README's caps at their values in the code, and its CLI section naming every option."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 import sys
 from pathlib import Path
 
 import pytest
+
+from chaoslab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "chaoslab").glob("*.py"))
@@ -62,11 +65,11 @@ README_CAPS = {
 }
 
 
-def _caps_section() -> str:
-    """README's "Caps" section, whitespace runs folded to one space."""
+def _readme_section(title: str) -> str:
+    """README's "## <title>" section, whitespace runs folded to one space."""
     text = (ROOT / "README.md").read_text()
-    section = re.search(r"^## Caps\n(.*?)(?=^## |\Z)", text, re.M | re.S)
-    assert section, "README has no '## Caps' section"
+    section = re.search(rf"^## {title}\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    assert section, f"README has no '## {title}' section"
     return " ".join(section.group(1).split())
 
 
@@ -80,4 +83,25 @@ def test_readme_states_search_cap(name):
         and isinstance(node.value, ast.Constant)
     }
     phrase = README_CAPS[name].format(caps[name])
-    assert phrase in _caps_section(), f"README's Caps section does not say {phrase!r}"
+    assert phrase in _readme_section("Caps"), f"README's Caps section does not say {phrase!r}"
+
+
+def _cli_names() -> list[str]:
+    """Every global option, subcommand and subcommand option of the CLI's parser, but help."""
+    names = []
+    for action in cli._build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for command, sub in action.choices.items():
+                names.append(command)
+                names += [opt for a in sub._actions if not isinstance(a, argparse._HelpAction)
+                          for opt in a.option_strings]
+        elif not isinstance(action, argparse._HelpAction):
+            names += action.option_strings
+    return names
+
+
+@pytest.mark.parametrize("name", _cli_names())
+def test_readme_cli_section_names_option(name):
+    # options in flag form (`--k`, `[--no-cache]`), commands as the start of a table cell
+    pattern = rf"[\[`\s]{re.escape(name)}\b" if name.startswith("-") else rf"\| `{name}\b"
+    assert re.search(pattern, _readme_section("CLI")), f"README's CLI section does not name {name}"
