@@ -4,8 +4,9 @@ The packaged ``default.cfg`` is the single source of every default: it pins
 each suite's scale so verification runs are deterministic, and it is always
 read first.  A user file overlays it section by section, and the CLI's global
 flags override the [run] section last.  The one computed fallback is
-``[theorem5] samples``, which falls back to ``[run] samples``.  The full
-snapshot travels with every emitted artifact.
+``[theorem5] samples``, which falls back to ``[run] samples``.  The snapshot,
+every key but ``[run] out``, travels with every emitted artifact, so the
+artifacts do not depend on where they are written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 
-# [run] key -> (RunConfig field, ConfigParser getter); drives both loading and the snapshot.
+# [run] key -> (RunConfig field, ConfigParser getter); drives loading and, out aside, the snapshot.
 _RUN_KEYS = {
     "seed": ("seed", "getint"),
     "samples": ("samples", "getint"),
@@ -66,6 +67,8 @@ class RunConfig:
         """Flat, deterministically ordered view of the effective configuration."""
         snap: dict[str, str] = {}
         for key, (attr, _) in _RUN_KEYS.items():
+            if key == "out":  # where artifacts go is no input of what they hold
+                continue
             value = getattr(self, attr)
             snap[f"run.{key}"] = str(value).lower() if isinstance(value, bool) else str(value)
         for section in sorted(self.sections):

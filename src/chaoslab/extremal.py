@@ -66,63 +66,86 @@ def _half_scores(cols: np.ndarray, masks: np.ndarray, shift: int, width: int) ->
 def _cut_buffer(row: int, itemsize: int) -> int:
     """Cut NumPy's ufunc buffer to one block row of ``row`` items (a multiple of 16) if it is
     1 KiB or more, and return the size to restore: NumPy buffers a broadcast add whose rows
-    are shorter than its buffer, copying every operand, and adds such rows faster in place."""
+    are shorter than its buffer, copying every operand, and adds such rows faster in place.
+    Without it a 20x20 Gaussian's undecoupled scan, 2^10 doubles a row, takes about a fifth
+    longer; the pair scans' int8 blocks of matrices barely move."""
     saved = np.getbufsize()
     if row * itemsize >= 1024:
         np.setbufsize(min(row // 16 * 16, saved))
     return saved
 
 
-def _pair_max(low: np.ndarray, high: np.ndarray, acc_type) -> np.ndarray:
+def _pair_max(low: np.ndarray, high: np.ndarray, n: int | None = None) -> np.ndarray:
     """Per matrix k, the max over pairs (l, g) of sum_j |low[j, k, l] + high[j, k, g]|.
 
-    ``low`` and ``high`` are (columns, matrices, rows) half tables of one dtype.  A block pairs
-    a run of matrices and low rows with every high row in one ``np.add`` over all columns of
-    at most ``_CHUNK`` bytes, whose ``abs`` is summed over the columns in order in ``acc_type``.
+    ``low`` and ``high`` are (columns, matrices, rows) half tables of one dtype: real, or,
+    given ``n``, int8 column sums of +-1 signs over n rows, so every |L_j + H_j| is at most n.
+    A block pairs a run of matrices and low rows with every high row in one ``np.add`` over
+    all columns of at most ``_CHUNK`` bytes, whose ``abs`` is summed over the columns in
+    order.  A stack with more matrices than high rows fills a block with matrices before it
+    takes a second low row, so add, abs and sum stream hundreds of matrices, innermost in the
+    tables, per inner loop; otherwise a block fills with low rows first.  Real scores are
+    summed in doubles.  Integer scores are summed in runs of 127 // n columns in int8, which
+    cannot wrap (127 // n terms of at most n), and only the run totals are widened to a type
+    holding n * columns.
 
-    A matrix whose pairs need several blocks is pruned by the bound la[l] + hb[g] on a pair's
-    score, la and hb the l1 norms of the low and high rows, both sorted descending: after the
-    first block, a block pairs only with the high rows where (la[first] + hb) * slack > best,
-    a prefix, and the scan stops at the first empty one.  Integer tables prune exactly
-    (slack 1).  For real tables with m columns and unit roundoff u, a computed score is at
-    most (1 + u)(1 + g) times the exact la + hb, and the computed (la + hb) * slack at least
-    (1 - g)(1 - u)^2 slack times it, where g = (m - 1) u / (1 - (m - 1) u) bounds a sequential
-    sum; slack = 1 + 4 (m + 2) u exceeds the quotient, 1 + (2m + 1) u to first order, so no
-    pruned pair beats best (below 2^-1022 every add is exact).  Kept pairs are summed as in
-    a full scan, so the max is bit for bit the same.
+    A lone matrix whose pairs need several blocks is pruned by the bound la[l] + hb[g] on a
+    pair's score, la and hb the l1 norms of the low and high rows, both sorted descending:
+    after the first block, a block pairs only with the high rows where
+    (la[first] + hb) * slack > best, a prefix, and the scan stops at the first empty one; its
+    blocks sum all columns in one call, as a pruned block is short.  Integer tables prune
+    exactly (slack 1).  For real tables with m columns and unit roundoff u, a computed score
+    is at most (1 + u)(1 + g) times the exact la + hb, and the computed (la + hb) * slack at
+    least (1 - g)(1 - u)^2 slack times it, where g = (m - 1) u / (1 - (m - 1) u) bounds a
+    sequential sum; slack = 1 + 4 (m + 2) u exceeds the quotient, 1 + (2m + 1) u to first
+    order, so no pruned pair beats best (below 2^-1022 every add is exact).  Kept pairs are
+    summed as in a full scan, so the max is bit for bit the same.
     """
     cols, count, lrows = low.shape
     hrows = high.shape[2]
-    cells = max(1, _CHUNK // (cols * low.itemsize))  # (matrix, low row, high row) cells
-    rows = max(1, min(lrows, cells // hrows))
-    mats = max(1, min(count, cells // (rows * hrows)))
-    if mats < hrows:  # a block follows the tables' memory order: put its longer axis innermost
-        high = np.ascontiguousarray(high)
+    acc_type = float if n is None else np.min_scalar_type(-n * cols - 1)  # holds n * columns
+    fill = max(1, _CHUNK // (cols * low.itemsize * hrows))  # (matrix, low row) pairs a block
+    if count > hrows:  # matrices first, innermost in the tables
+        mats = min(count, fill)
+        rows = min(lrows, fill // mats)
+    else:
+        rows = min(lrows, fill)
+        mats = min(count, fill // rows)
+    prune = mats == 1 and rows < lrows  # a lone matrix over several blocks
+    step = cols if n is None or prune else 127 // n  # columns summed per reduce
     best = np.zeros(count, dtype=acc_type)
     saved = _cut_buffer(max(mats, hrows), low.itemsize)  # a block's innermost axis
     try:
         for start in range(0, count, mats):
             lo, hi = low[:, start : start + mats], high[:, start : start + mats, None]
+            if mats < hrows:  # blocks follow the tables' memory order: high rows innermost
+                hi = np.ascontiguousarray(hi)
             view = best[start : start + mats]
             live = hrows
-            if rows < lrows:  # one matrix, several blocks: sort both tables by row norm
+            if prune:  # sort both tables by row norm
                 la = np.add.reduce(np.abs(lo[:, 0]), axis=0, dtype=acc_type)
                 hb = np.add.reduce(np.abs(hi[:, 0, 0]), axis=0, dtype=acc_type)
                 lorder, horder = np.argsort(la)[::-1], np.argsort(hb)[::-1]
                 # np.take keeps the copies in C order, columns outermost as in the tables
                 lo, hi = np.take(lo, lorder, axis=-1), np.take(hi, horder, axis=-1)
                 la, hb = la[lorder], hb[horder]
-                exact = np.issubdtype(acc_type, np.integer)
-                slack = 1 if exact else 1 + 4 * (cols + 2) * np.finfo(acc_type).epsneg
+                slack = 1 if n else 1 + 4 * (cols + 2) * np.finfo(acc_type).epsneg
             for first in range(0, lrows, rows):
-                if first:  # later blocks: only high rows that can still beat best
+                if prune and first:  # later blocks: only high rows that can still beat best
                     live = np.count_nonzero((hb + la[first]) * slack > view[0])
                     if not live:
                         break
                 # two high rows at least, so NumPy sums a block column by column, not pairwise
                 block = np.add(lo[:, :, first : first + rows, None], hi[..., : max(live, 2)])
-                scores = np.add.reduce(np.abs(block, out=block), axis=0, dtype=acc_type)
+                np.abs(block, out=block)
+                if step < cols:  # widen the first run's total, then add the others
+                    scores = np.add.reduce(block[:step], axis=0, dtype=np.int8).astype(acc_type)
+                    for j in range(step, cols, step):
+                        scores += np.add.reduce(block[j : j + step], axis=0, dtype=np.int8)
+                else:
+                    scores = np.add.reduce(block, axis=0, dtype=acc_type)
                 np.maximum(view, np.maximum.reduce(scores, axis=(1, 2)), out=view)
+                del block  # before the next block is allocated
     finally:
         np.setbufsize(saved)
     return best
@@ -145,14 +168,14 @@ def _sign_scan(cols: np.ndarray, n: int) -> np.ndarray:
     low_masks = np.arange(0, 2**h, 2, dtype=np.min_scalar_type(2**h - 1))  # eps_0 = +1 if n > 1
     high_masks = np.arange(2 ** (n - h), dtype=np.min_scalar_type(2 ** (n - h) - 1))
     run = max(1, _CHUNK // (m * high_masks.size))
-    acc_type = np.min_scalar_type(-n * m - 1)  # signed, holding every score up to n m
     best = np.empty(count, dtype=np.int64)
     for start in range(0, count, run):
         # (columns, matrices), cast once to the narrowest type holding n bits
         stack = np.ascontiguousarray(cols[start : start + run].T, np.min_scalar_type(2**n - 1))
-        low = _half_scores(stack, low_masks, 0, h)
-        high = _half_scores(stack, high_masks, h, n - h)
-        best[start : start + run] = _pair_max(low, high, acc_type)
+        # the tables are temporaries, freed before the next run's are built
+        best[start : start + run] = _pair_max(
+            _half_scores(stack, low_masks, 0, h), _half_scores(stack, high_masks, h, n - h), n
+        )
     return best
 
 
@@ -168,16 +191,16 @@ def sup_norm_decoupled(a) -> float:
     a = as_coefficient_matrix(a)
     if a.shape[0] > a.shape[1]:
         a = a.T
-    n, m = a.shape
+    n = a.shape[0]
     EnumerationCapError.check("decoupled scan dimension", n, SUP_DECOUPLED_CAP)
     # (columns, 1, rows), each column contiguous; for n = 1 the low half is one zero row,
     # so the high half has two rows or more and NumPy sums blocks column by column, not pairwise
     h = n // 2
     signs = np.all(np.abs(a) == 1.0)
-    kind, acc_type = (np.int8, np.min_scalar_type(-n * m - 1)) if signs else (float, float)
+    kind = np.int8 if signs else float
     low = np.ascontiguousarray(linear_forms(a[:h])[::2].T, dtype=kind)[:, None]
     high = np.ascontiguousarray(linear_forms(a[h:]).T, dtype=kind)[:, None]
-    return float(_pair_max(low, high, acc_type)[0])
+    return float(_pair_max(low, high, n if signs else None)[0])
 
 
 def sup_norm_undecoupled(b) -> float:

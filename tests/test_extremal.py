@@ -388,12 +388,12 @@ class TestPrunedPairScan:
         # the 4x4 Walsh tables has la + hb = 8, its sup: a real table keeps such a tie within
         # its rounding slack, an integer table prunes it exactly.
         low, high = (np.ascontiguousarray(t, dtype=kind)[:, None] for t in half_tables(a))
-        acc_type = float if kind is float else np.int16
+        n = None if kind is float else a.shape[0]
         with (
             mock.patch.object(extremal, "_CHUNK", low.shape[0] * low.itemsize * high.shape[2]),
             mock.patch.object(np, "add", wraps=np.add) as add,
         ):
-            got = extremal._pair_max(low, high, acc_type)
+            got = extremal._pair_max(low, high, n)
         assert add.call_count == blocks
         assert got[0] == pair_table_max(low[:, 0], high[:, 0])
 
@@ -403,7 +403,7 @@ class TestPrunedPairScan:
         low = np.array([[[-12, -11, 5, 1]]], dtype=np.int8)
         high = np.array([[[10, 0]]], dtype=np.int8)
         with mock.patch.object(extremal, "_CHUNK", 4):
-            assert extremal._pair_max(low, high, np.int16)[0] == 15
+            assert extremal._pair_max(low, high, 22)[0] == 15
 
     def test_rounding_slack_keeps_a_pair_above_its_bound(self):
         # the pair (l, h) sums to 2 + 2^-50, above its computed bound la + hb = 2 + 2^-51,
@@ -412,7 +412,7 @@ class TestPrunedPairScan:
         low = np.array([[2 + 4 * u, 0.0, 0.0], [2 * u, 1.0, -1.0]]).T[:, None]
         high = np.array([[0.0, 1.75 * u, -1.25 * u], [0.0, 0.0, 0.0]]).T[:, None]
         with mock.patch.object(extremal, "_CHUNK", 3 * 8 * 2):
-            got = extremal._pair_max(low, high, float)[0]
+            got = extremal._pair_max(low, high)[0]
         assert got == pair_table_max(low[:, 0], high[:, 0]) == 2 + 8 * u
 
     def test_one_live_pair_sums_in_order(self):
@@ -425,7 +425,111 @@ class TestPrunedPairScan:
         high = np.stack([w, np.zeros(16)], axis=1)[:, None]
         assert np.add.reduce(np.abs(low[:, 0, 1] + high[:, 0, 0])) > 1.5  # pairwise
         with mock.patch.object(extremal, "_CHUNK", 16 * 8 * 2):
-            assert extremal._pair_max(low, high, float)[0] == pair_table_max(low[:, 0], high[:, 0]) == 1.5
+            assert extremal._pair_max(low, high)[0] == pair_table_max(low[:, 0], high[:, 0]) == 1.5
+
+
+def half_rows(n):
+    """(low rows, high rows) of an n-row sign scan: eps_0 = +1 halves the low table."""
+    h = n // 2
+    return max(1, 2**h // 2), 2 ** (n - h)
+
+
+def block_shapes(add):
+    """(columns, matrices, low rows, high rows) of each block that a spy on ``np.add`` saw."""
+    return [np.broadcast_shapes(lo.shape, hi.shape) for (lo, hi), _ in add.call_args_list]
+
+
+@st.composite
+def stacks_around_the_high_rows(draw):
+    """(cols, n, chunk): hrows - 1, hrows or hrows + 1 random n-row matrices of 1..8 columns,
+    n in 1..12, and a budget of 1..count * lrows + 1 (matrix, low row) pairs a block plus a few
+    spare bytes.  When all the matrices fit one run, a block of hrows + 1 of them takes every
+    matrix before a second low row, and so splits the low rows when the budget falls short."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 8))
+    lrows, hrows = half_rows(n)
+    count = max(1, hrows + draw(st.integers(-1, 1)))
+    fill = draw(st.integers(1, count * lrows + 1))
+    chunk = m * hrows * fill + draw(st.integers(0, m * hrows - 1))
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 2**64 - 1))))
+    return rng.integers(0, 2**n, size=(count, m), dtype=np.uint64), n, chunk
+
+
+class TestStackBlocks:
+    """A stack with more matrices than high rows fills a block with matrices first; integer
+    scores are summed in int8 runs of 127 // n columns."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(stacks_around_the_high_rows())
+    # 5 matrices over 4 high rows, one block of all 5 per low row: the low rows split
+    @example((np.arange(15, dtype=np.uint64).reshape(5, 3), 4, 3 * 4 * 5))
+    def test_counts_around_the_high_rows(self, case):
+        cols, n, chunk = case
+        with mock.patch.object(extremal, "_CHUNK", chunk):
+            got = extremal._sign_scan(cols, n)
+        assert np.array_equal(got, brute_sign_scan(cols, n))
+
+    def test_a_block_takes_every_matrix_before_a_second_low_row(self):
+        # 9 matrices over 8 high rows at n = 6: each of the 4 low rows is one block of all 9
+        n, m, count = 6, 5, 9
+        lrows, hrows = half_rows(n)
+        cols = np.random.Generator(np.random.Philox(key=54)).integers(
+            0, 2**n, size=(count, m), dtype=np.uint64)
+        with (
+            mock.patch.object(extremal, "_CHUNK", m * hrows * count),
+            mock.patch.object(np, "add", wraps=np.add) as add,
+        ):
+            got = extremal._sign_scan(cols, n)
+        assert block_shapes(add) == [(m, count, 1, hrows)] * lrows
+        assert np.array_equal(got, brute_sign_scan(cols, n))
+
+    def test_a_block_of_several_matrices_does_not_prune(self):
+        # 5 matrices over 4 high rows at n = 4, one low row a block.  Matrix 0 (all +1) scores
+        # its max 4 m in the first block, where every later bound falls short; the others peak
+        # only at the second low row, eps = (+, -, +, +), so pruning by matrix 0's bounds
+        # would leave them at 2 m
+        n, m = 4, 3
+        cols = np.array([[0] * m] + [[2] * m] * 4, dtype=np.uint64)
+        with mock.patch.object(extremal, "_CHUNK", m * 4 * 5):
+            got = extremal._sign_scan(cols, n)
+        assert got.tolist() == brute_sign_scan(cols, n).tolist() == [4 * m] * 5
+
+    @pytest.mark.parametrize("n", range(1, 23))
+    def test_all_ones_at_the_int8_run_edge(self, n):
+        # every column of an all-ones matrix scores n, so the sup is n m; m = g - 1 and g sum
+        # in one int8 run (n m <= 127, an int8 accumulator), g + 1 and 2 g + 1 in two and
+        # three.  A budget of 32 MiB makes every scan one block, summed in runs
+        g = 127 // n
+        count = half_rows(n)[1] + 1 if n <= 8 else 1  # more matrices than high rows at n <= 8
+        with mock.patch.object(extremal, "_CHUNK", 2**25):
+            for m in (g - 1, g, g + 1, 2 * g + 1):
+                stack = extremal._sign_scan(np.zeros((count, m), dtype=np.uint64), n)
+                assert stack.tolist() == [n * m] * count
+                assert sup_norm_decoupled(np.ones((n, m))) == n * m
+
+    @pytest.mark.parametrize(
+        "scan, n, m",
+        [(lambda: extremal._sign_scan(STACK_12, 12), 12, 12),
+         (lambda: monte_carlo_average(16, 2000, 55), 16, 16)],
+        ids=["sign_scan_n12_4096", "monte_carlo_n16_2000"],
+    )
+    def test_peak_memory_of_stack_scans(self, scan, n, m):
+        # the half tables of one run of matrices and at most two blocks' worth besides: the
+        # wider blocks keep the byte budget
+        lrows, hrows = half_rows(n)
+        run = extremal._CHUNK // (m * hrows)
+        budget = m * run * (lrows + hrows) + 2 * extremal._CHUNK
+        monte_carlo_average(4, 4, 0)  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+
+
+STACK_12 = np.random.Generator(np.random.Philox(key=56)).integers(
+    0, 2**12, size=(4096, 12), dtype=np.uint64)
 
 
 class TestSupNormUndecoupled:

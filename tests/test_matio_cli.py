@@ -83,7 +83,6 @@ DEFAULT_RUN_SNAPSHOT = {
     "run.quad_rel_tol": "1e-09",
     "run.orlicz_rel_tol": "1e-10",
     "run.format": "csv",
-    "run.out": "chaoslab-out",
     "run.cache": "true",
 }
 
@@ -144,6 +143,7 @@ class TestConfig:
             "quad_rel_tol = 1E-9\norlicz_rel_tol = 0.5e-11\nformat = both\n"
             "out = elsewhere\ncache = no\n"
         )
+        assert load_config(path).out_dir == "elsewhere"
         assert load_config(path).snapshot() == {
             "run.seed": "7",
             "run.samples": "30",
@@ -152,7 +152,6 @@ class TestConfig:
             "run.quad_rel_tol": "1e-09",
             "run.orlicz_rel_tol": "5e-12",
             "run.format": "both",
-            "run.out": "elsewhere",
             "run.cache": "false",
             **DEFAULT_SUITE_SNAPSHOT,
         }
@@ -533,6 +532,25 @@ class TestCliArtifacts:
         assert {name for name in first if not name.startswith(".cache")} == written[fmt]
         assert cli.main(argv) == 0
         assert files() == first
+
+    def test_artifacts_do_not_depend_on_the_out_path(self, tmp_path, monkeypatch):
+        # [run] out is loaded but left out of the snapshot, so two directories get the same
+        # bytes; only verify's measured wall_time values differ from run to run
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.txt").write_text("2 2\n1 -1\n1 1\n")
+        wall_time = re.compile(rb'("wall_time": )[^,\n]+')
+
+        def run(out: str) -> dict[str, bytes]:
+            assert cli.main(["--out", out, "--format", "both", "--no-cache", "verify", "clt"]) == 0
+            assert cli.main(["--out", out, "supnorm", "m.txt"]) == 0
+            return {str(p.relative_to(out)): wall_time.sub(rb"\g<1>0", p.read_bytes())
+                    for p in Path(out).rglob("*") if p.is_file()}
+
+        first = run("out")
+        # the cache key hashes the snapshot, so the cached supnorm file has one name too
+        assert {name for name in first if not name.startswith(".cache")} == {
+            "verify-clt.csv", "verify-clt.json", "supnorm.json"}
+        assert run(str(tmp_path / "elsewhere" / "deeper")) == first
 
 
 class TestConsoleScript:
