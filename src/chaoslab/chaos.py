@@ -2,7 +2,7 @@
 
 Coefficient and sign matrices are plain float arrays; validators below enforce
 the contracts (finite entries, exact +-1 signs, zero diagonal where required).
-The undecoupled chaos is built by doubling (``dyadic.quadratic_form``), no sign table.
+The undecoupled chaos is ``dyadic.quadratic_form``: meet-in-the-middle blocks, no full sign table.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
     """Step function of sum(b_ij * r_i(t) * r_j(t)), i != j, on the interval.
 
     The coefficient matrix must be square with an explicitly zero diagonal.  The form is
-    even and ``quadratic_form`` gives mirrored masks equal values bit for bit, so the result
-    reads its law from the half eps_n = +1 at twice the atom measure.
+    even and ``quadratic_form`` mirrors the half eps_n = +1 (the blocks ``sup_norm_undecoupled``
+    scans), so the result reads its law from that half at twice the atom measure.
     """
     b = as_coefficient_matrix(b)
     n, m = b.shape

@@ -153,7 +153,6 @@ def _suite_json(results: list[SuiteResult]) -> dict:
             {
                 "suite": res.suite,
                 "passed": res.passed,
-                "wall_time": res.wall_time,
                 "checks": [dataclasses.asdict(c) for c in res.checks],
             }
             for res in results

@@ -10,11 +10,12 @@ The k-th Rademacher function equals ``+1`` on cells whose k-th digit is 0 and
 by a sign-vector bitmask: bit ``i-1`` of the mask holds the i-th digit, so a
 set bit means ``r_i = -1`` there.  All atoms of a generation carry equal
 weight, hence masks can be enumerated in any order without touching the distribution.
-``linear_forms`` and ``quadratic_form`` tabulate eps^T c and eps^T b eps by doubling.
+``linear_forms`` tabulates eps^T c by doubling, ``quadratic_blocks`` eps^T b eps by splitting eps.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ MAX_BITS_1D = 24
 
 #: Default cap on the total number of sign bits (both axes) materialized in 2D.
 MAX_BITS_2D = 26
+
+_CHUNK = 1 << 19  # bytes per block of a quadratic form or of a pair scan
 
 
 @dataclass(frozen=True)
@@ -118,23 +121,39 @@ def linear_forms(c) -> np.ndarray:
     return out
 
 
-def quadratic_form(b) -> np.ndarray:
-    """eps^T b eps for every mask of a square b, by doubling in O(2^n) from trace(b).
+def quadratic_blocks(b, table=None) -> Iterator[np.ndarray]:
+    """eps^T b eps of a square float b over the masks with eps_n = +1, in mask order, in blocks
+    of whole rows of at most ``_CHUNK`` bytes (or one row), computed into ``table`` if given.
 
-    Variable j adds eps_j L_j, L_j = sum_{i<j} (b_ij + b_ji) eps_i; row k of ``forms``
-    holds L_k over the masks so far.  Negated masks agree bit for bit.
+    With eps = (u, w), u the low h = n // 2 bits, eps^T b eps = u^T b11 u + w^T b22 w
+    + u^T (b12 + b21^T) w, so the (2^(n-h-1), 2^h) table, rows w (w_last = +1) by columns u,
+    is the product of [w, w^T b22 w, 1] and [(b12 + b21^T)^T u; 1; u^T b11 u], factors of
+    rank n - h + 2 from one sign table of 2^(n-h) rows: a block is one matrix product.
     """
-    s = b + b.T
-    out, forms = np.empty(2 ** s.shape[0]), np.zeros((s.shape[0], 1))
-    out[0] = np.trace(b)
-    for j, row in enumerate(s):
-        size = 1 << j
-        np.subtract(out[:size], forms[0], out=out[size : 2 * size])
-        out[:size] += forms[0]
-        grown = np.empty((forms.shape[0] - 1, 2 * size))
-        np.add(forms[1:], row[j + 1 :, None], out=grown[:, :size])
-        np.subtract(forms[1:], row[j + 1 :, None], out=grown[:, size:])
-        forms = grown
+    n = b.shape[0]
+    h = n // 2
+    signs = full_sign_matrix(n - h)  # its first 2^h rows and h columns are the u table
+    u, w = signs[: 2**h, :h], signs[: 2 ** (n - h - 1)]
+    qw, qu = ((w @ b[h:, h:]) * w).sum(axis=1), ((u @ b[:h, :h]) * u).sum(axis=1)
+    left = np.column_stack([w, qw, np.ones_like(qw)])
+    right = np.vstack([(u @ (b[:h, h:] + b[h:, :h].T)).T, np.ones_like(qu), qu])
+    rows = max(1, _CHUNK // (8 * 2**h))
+    for start in range(0, left.shape[0], rows):
+        yield np.matmul(left[start : start + rows], right,
+                        out=None if table is None else table[start : start + rows])
+
+
+def quadratic_form(b) -> np.ndarray:
+    """eps^T b eps for every mask of a square b: ``quadratic_blocks`` and its mirror image, as
+    complementing a mask negates eps, so negated masks agree bit for bit."""
+    b = np.asarray(b, dtype=np.float64)
+    half = 2 ** b.shape[0] // 2
+    if not half:  # no variables: the form is the constant 0
+        return np.zeros(1)
+    out = np.empty(2 * half)
+    for _ in quadratic_blocks(b, out[:half].reshape(-1, 2 ** (b.shape[0] // 2))):
+        pass  # each block is computed in place
+    out[half:] = out[half - 1 :: -1]
     return out
 
 

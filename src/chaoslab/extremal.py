@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import as_coefficient_matrix, eval_decoupled
-from .dyadic import full_sign_matrix, linear_forms, quadratic_form
+from .dyadic import _CHUNK, full_sign_matrix, linear_forms, quadratic_blocks
 from .errors import EnumerationCapError
 from .rearrange import rearrangement
 from .spaces import marcinkiewicz_norm, phi_eps, quasinorm_phi_eps
@@ -32,7 +32,6 @@ EXACT_AVERAGE_CAP = 7
 MONTE_CARLO_CAP = 16
 WALSH_K_CAP = 5
 
-_CHUNK = 1 << 19  # bytes per block of a pair scan
 _MULTISET_BLOCK = 1 << 20  # multisets per block of the canonical scan
 _RNG_NAME = "philox4x64"
 
@@ -67,8 +66,9 @@ def _cut_buffer(row: int, itemsize: int) -> int:
     """Cut NumPy's ufunc buffer to one block row of ``row`` items (a multiple of 16) if it is
     1 KiB or more, and return the size to restore: NumPy buffers a broadcast add whose rows
     are shorter than its buffer, copying every operand, and adds such rows faster in place.
-    Without it a 20x20 Gaussian's undecoupled scan, 2^10 doubles a row, takes about a fifth
-    longer; the pair scans' int8 blocks of matrices barely move."""
+    ``_pair_max`` adds its blocks so, along rows of high-table entries: without the cut a
+    20x20 Gaussian's decoupled scan, 2^10 doubles a row, takes about 8% longer; its int8
+    blocks of matrices barely move."""
     saved = np.getbufsize()
     if row * itemsize >= 1024:
         np.setbufsize(min(row // 16 * 16, saved))
@@ -206,33 +206,15 @@ def sup_norm_decoupled(a) -> float:
 def sup_norm_undecoupled(b) -> float:
     """Exact sup norm of sum b_ij r_i(t) r_j(t) (diagonal included, as a quadratic form).
 
-    Meets in the middle: for eps = (u, w), eps^T B eps = u^T B11 u + w^T B22 w
-    + u (B12 + B21^T) w, so the half forms are vectors and the cross term is
-    one matrix product per block of at most ``_CHUNK`` bytes (u_0 = +1, as
-    the form is even).
+    The form is even, so the max of its absolute value over the blocks of
+    ``quadratic_blocks`` (eps_n = +1), the table ``eval_undecoupled`` mirrors, is the sup.
     """
     b = as_coefficient_matrix(b)
     n, m = b.shape
     if n != m:
         raise ValueError(f"undecoupled coefficients must be square, got {n}x{m}")
     EnumerationCapError.check("undecoupled scan dimension", n, SUP_UNDECOUPLED_CAP)
-    h = max(1, n // 2)
-    w = full_sign_matrix(n - h)  # the GEMM's right factor
-    qu = quadratic_form(b[:h, :h])[::2]
-    qw = quadratic_form(b[h:, h:])
-    cross = linear_forms(b[:h, h:] + b[h:, :h].T)[::2]
-    rows = max(1, _CHUNK // (8 * w.shape[0]))  # low rows per block
-    best = 0.0
-    saved = _cut_buffer(w.shape[0], 8)
-    try:
-        for start in range(0, qu.size, rows):
-            quad = cross[start : start + rows] @ w.T
-            quad += qu[start : start + rows, None]
-            quad += qw
-            best = max(best, float(np.abs(quad, out=quad).max()))
-    finally:
-        np.setbufsize(saved)
-    return best
+    return max(float(np.abs(block, out=block).max()) for block in quadratic_blocks(b))
 
 
 def walsh_sign_arrangement(k: int) -> np.ndarray:

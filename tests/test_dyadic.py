@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from chaoslab import dyadic
 from chaoslab.dyadic import (
     DyadicPoint,
     StepFunction1D,
@@ -11,6 +14,7 @@ from chaoslab.dyadic import (
     full_sign_matrix,
     linear_forms,
     materialize_1d,
+    quadratic_blocks,
     quadratic_form,
     rademacher,
     walsh,
@@ -257,6 +261,21 @@ class TestQuadraticForm:
 
     def test_no_variables(self):
         assert quadratic_form(np.zeros((0, 0))).tolist() == [0.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: coefficients((n, n))), st.integers(1, 600))
+    def test_blocks_tile_the_half(self, case, chunk):
+        # blocks of whole rows of at most chunk bytes (one row if it is larger) tile the half
+        # eps_n = +1 in mask order, equal bit for bit to the ones computed in place
+        b, exact = case
+        n = b.shape[0]
+        with mock.patch.object(dyadic, "_CHUNK", chunk):
+            blocks = list(quadratic_blocks(b))
+            v = quadratic_form(b)
+        row = 2 ** (n // 2)
+        assert all(k.shape[1] == row and k.nbytes <= max(chunk, 8 * row) for k in blocks)
+        assert np.array_equal(np.concatenate([k.ravel() for k in blocks]), v[: 2 ** (n - 1)])
+        assert_forms_match(v, sign_table_quadratic(b), exact)
 
 
 class TestSignHelpers:

@@ -56,12 +56,14 @@ def test_imports_are_allowed_and_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-# each search cap in extremal.py, and the phrase that states it in README's "Caps" section
+# each cap in extremal.py and dyadic.py, and the phrase that states it in README's "Caps" section
 README_CAPS = {
-    "EXHAUSTIVE_CAP": "exhaustive minimization up to `n = {}`",
-    "EXACT_AVERAGE_CAP": "exact averages up to `n = {}`",
-    "MONTE_CARLO_CAP": "Monte-Carlo up to `n = {}`",
-    "WALSH_K_CAP": "Walsh arrangements up to `k = {}`",
+    "EXHAUSTIVE_CAP": "exhaustive minimization up to `n = {EXHAUSTIVE_CAP}`",
+    "EXACT_AVERAGE_CAP": "exact averages up to `n = {EXACT_AVERAGE_CAP}`",
+    "MONTE_CARLO_CAP": "Monte-Carlo up to `n = {MONTE_CARLO_CAP}`",
+    "WALSH_K_CAP": "Walsh arrangements up to `k = {WALSH_K_CAP}`",
+    "MAX_BITS_1D/2D": "{MAX_BITS_1D} sign bits on the interval and {MAX_BITS_2D} total bits",
+    "SUP_(UN)DECOUPLED_CAP": "{SUP_DECOUPLED_CAP} rows (decoupled) / {SUP_UNDECOUPLED_CAP} (undecoupled)",
 }
 
 
@@ -75,14 +77,14 @@ def _readme_section(title: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(README_CAPS))
 def test_readme_states_search_cap(name):
-    tree = ast.parse((ROOT / "src" / "chaoslab" / "extremal.py").read_text())
     caps = {
         node.targets[0].id: node.value.value
-        for node in tree.body
+        for module in ("extremal.py", "dyadic.py")
+        for node in ast.parse((ROOT / "src" / "chaoslab" / module).read_text()).body
         if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
         and isinstance(node.value, ast.Constant)
     }
-    phrase = README_CAPS[name].format(caps[name])
+    phrase = README_CAPS[name].format(**caps)
     assert phrase in _readme_section("Caps"), f"README's Caps section does not say {phrase!r}"
 
 
