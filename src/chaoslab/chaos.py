@@ -15,6 +15,7 @@ from .dyadic import (
     StepFunction1D,
     StepFunction2D,
     full_sign_matrix,
+    linear_forms,
     quadratic_form,
 )
 from .errors import EnumerationCapError
@@ -56,21 +57,31 @@ class _UndecoupledChaos(StepFunction1D):
         return self.values[: 2 ** (self.n - 1)], 2.0 * self.atom_measure
 
 
+def _half_forms(c: np.ndarray) -> np.ndarray:
+    """eps^T c over the masks with eps_last = +1, in mask order: no table of the other half."""
+    forms = linear_forms(c[:-1])
+    forms += c[-1]
+    return forms
+
+
 def eval_decoupled(a, max_bits: int = MAX_BITS_2D) -> StepFunction2D:
     """Step function of sum(a_ij * r_i(s) * r_j(t)) on the square.
 
     Value at the mask pair (e, d) is eps^T A delta, for all 2^(n+m) sign pairs.  Only the
-    quarter with eps_n = delta_m = +1 (masks below 2^(n-1) and 2^(m-1)) is a matrix product;
-    complementing a mask negates its sign vector and maps mask k to 2^n - 1 - k, so the other
-    three blocks are its negated mirror images, exact by construction.  The result reads its
-    law (``law_atoms``) from that quarter alone, at four times the atom measure.
+    quarter with eps_n = delta_m = +1 (masks below 2^(n-1) and 2^(m-1)) is a matrix product,
+    the half forms of the longer axis times the half sign table of the shorter, so no sign
+    table of the longer axis is built; complementing a mask negates its sign vector and maps
+    mask k to 2^n - 1 - k, so the other three blocks are its negated mirror images, exact by
+    construction.  The result reads its law (``law_atoms``) from that quarter alone, at four
+    times the atom measure.
     """
     a = as_coefficient_matrix(a)
     n, m = a.shape
     EnumerationCapError.check(f"{n}x{m} decoupled sign bits", n + m, max_bits)
     hn, hm = 2 ** (n - 1), 2 ** (m - 1)
     values = np.empty((2 * hn, 2 * hm))
-    np.matmul(full_sign_matrix(n)[:hn] @ a, full_sign_matrix(m)[:hm].T, out=values[:hn, :hm])
+    quarter, c = (values[:hn, :hm], a) if n >= m else (values[:hn, :hm].T, a.T)
+    np.matmul(_half_forms(c), _half_forms(np.eye(c.shape[1])).T, out=quarter)
     np.negative(values[:hn, hm - 1 :: -1], out=values[:hn, hm:])
     np.negative(values[hn - 1 :: -1], out=values[hn:])
     return _DecoupledChaos(n=n, m=m, values=values)

@@ -3,7 +3,8 @@
 The packaged ``default.cfg`` is the single source of every default: it pins
 each suite's scale so verification runs are deterministic, and it is always
 read first.  A user file overlays it section by section, and the CLI's global
-flags override the [run] section last.  The one computed fallback is
+flags override the [run] section last; the [run] keys are those of
+``_RUN_KEYS``, each written in ``default.cfg``.  The one computed fallback is
 ``[theorem5] samples``, which falls back to ``[run] samples``.  The snapshot,
 every key but ``[run] out``, travels with every emitted artifact, so the
 artifacts do not depend on where they are written.
@@ -24,7 +25,6 @@ _RUN_KEYS = {
     "samples": ("samples", "getint"),
     "max_bits_1d": ("max_bits_1d", "getint"),
     "max_bits_2d": ("max_bits_2d", "getint"),
-    "quad_rel_tol": ("quad_rel_tol", "getfloat"),
     "orlicz_rel_tol": ("orlicz_rel_tol", "getfloat"),
     "format": ("out_format", "get"),
     "out": ("out_dir", "get"),
@@ -41,7 +41,6 @@ class RunConfig:
     samples: int
     max_bits_1d: int
     max_bits_2d: int
-    quad_rel_tol: float
     orlicz_rel_tol: float
     out_format: str
     out_dir: str

@@ -23,18 +23,6 @@ class InsufficientPrecisionError(ChaosLabError, ValueError):
     """A dyadic point does not carry enough bits for the requested function."""
 
 
-class QuadratureError(ChaosLabError):
-    """Quadrature failed to reach the requested tolerance.
-
-    Carries the best estimate and the tolerance actually achieved.
-    """
-
-    def __init__(self, message: str, value: float, achieved_tol: float):
-        super().__init__(message)
-        self.value = value
-        self.achieved_tol = achieved_tol
-
-
 class MatrixParseError(ChaosLabError):
     """A matrix file failed to parse; carries line/column diagnostics."""
 

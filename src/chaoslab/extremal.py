@@ -313,7 +313,7 @@ def _symmetric_inf(n: int) -> int:
     the high ones (the constant added), eps (first sign +1) outermost, in blocks of at most
     ``_CHUNK`` bytes.
     """
-    eps = full_sign_matrix(n)[::2, 1:]  # (E, n - 1): the first sign, +1, left out
+    eps = full_sign_matrix(n - 1)  # (E, n - 1): the masks with first sign +1, that sign left out
     i, j = np.triu_indices(n - 1, 1)
     weights = np.vstack([2.0 * (eps[:, i] * eps[:, j]).T, np.ones((n - 1, eps.shape[0]))])
     const = 1.0 + 2.0 * eps.sum(axis=1)

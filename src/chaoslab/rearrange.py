@@ -9,7 +9,9 @@ standing for 4 or 2 atoms; this is exact because the other atoms hold exact
 negations or copies of theirs.  A value is snapped into a step when it lies
 within ``VALUE_SNAP`` of the step's first value, to absorb floating-point
 noise; in-scope functions only take values that are small signed sums of
-coefficients, so genuinely distinct values never collide.
+coefficients, so genuinely distinct values never collide.  The log-log tail
+measure ``log_distribution_L`` is the one numerical value here: a fixed
+160-node Gauss-Legendre rule, with no tolerance to set.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import StepFunction1D, StepFunction2D
-from .errors import QuadratureError
 
 VALUE_SNAP = 1e-12
-QUAD_MAX_PANELS = 4096
 _DROP_BLOCK = 1 << 14
 _UNDERFLOW_EFOLDS = 750.0  # exp(-750) is 0 in double precision
+_PANELS = 8  # equal panels of the Gauss-Legendre rule for L(z)
 
 StepFunction = StepFunction1D | StepFunction2D
 
@@ -178,15 +179,17 @@ def equimeasurable(x: StepFunction, y: StepFunction) -> bool:
 
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 20-point Gauss-Legendre rule on [0, 1], built on first use."""
+    """Nodes and weights of ``_PANELS`` equal panels of the 20-point Gauss-Legendre rule on
+    [0, 1], built on first use."""
     # NumPy loads numpy.polynomial lazily; importing it here keeps it off `import chaoslab`
     from numpy.polynomial.legendre import leggauss
 
     nodes, weights = leggauss(20)
-    return 0.5 * (nodes + 1.0), 0.5 * weights
+    panels = np.arange(_PANELS)[:, None] + 0.5 * (nodes + 1.0)
+    return panels.ravel() / _PANELS, np.tile(0.5 * weights / _PANELS, _PANELS)
 
 
-def log_distribution_L(z: float, rel_tol: float = 1e-9) -> float:
+def log_distribution_L(z: float) -> float:
     """Measure of {(s,t): ln(e/s) ln(e/t) > z} on the unit square, z >= 1.
 
     Slicing along s with u = ln(e/s): the t-section has measure
@@ -197,14 +200,14 @@ def log_distribution_L(z: float, rel_tol: float = 1e-9) -> float:
     theta in [0, ln sqrt(z)]; with the peak height taken out, L(z) =
     e^(1-z) + e^(2 - 2 sqrt z) * integral of 2 sqrt(z) cosh(theta)
     exp(-4 sqrt(z) sinh^2(theta/2)) dtheta, smooth and peaked at theta = 0.
-    A composite Gauss-Legendre rule doubles its panel count until two
-    successive estimates agree to ``rel_tol`` (never finer than one unit
-    roundoff, which no double can certify).
+    One fixed rule integrates it: 8 equal panels of 20-point Gauss-Legendre,
+    160 nodes.  Against a 40-digit quadrature its relative error is below
+    2e-14 for z in [1, 1e4] and 6e-14 up to 1.2e5, where L(z) turns
+    subnormal; 16 and 32 panels give the same, so that is rounding, not
+    quadrature error.
     """
-    if z < 1.0:
-        raise ValueError(f"z must be >= 1, got {z}")
-    if rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    if not 1.0 <= z < math.inf:
+        raise ValueError(f"z must be finite and >= 1, got {z}")
     corner = math.exp(1.0 - z)
     if z == 1.0:
         return corner
@@ -213,19 +216,6 @@ def log_distribution_L(z: float, rel_tol: float = 1e-9) -> float:
     peak = math.exp(2.0 - 2.0 * root)
     # the integrand evaluates to 0 once its exponent passes _UNDERFLOW_EFOLDS
     top = min(0.5 * math.log(z), 2.0 * math.asinh(math.sqrt(_UNDERFLOW_EFOLDS / (4.0 * root))))
-    previous, panels = math.inf, 1
-    while panels <= QUAD_MAX_PANELS:
-        width = top / panels
-        theta = (np.arange(panels)[:, None] + nodes) * width
-        f = 2.0 * root * np.cosh(theta) * np.exp(-4.0 * root * np.sinh(0.5 * theta) ** 2)
-        estimate = width * float((f @ weights).sum())
-        gap = max(abs(estimate - previous), np.finfo(float).eps * estimate)
-        if gap <= rel_tol * estimate:
-            return corner + peak * estimate
-        previous, panels = estimate, 2 * panels
-    achieved = gap / estimate
-    raise QuadratureError(
-        f"quadrature did not reach relative tolerance {rel_tol:.3g}: achieved {achieved:.3e}",
-        value=corner + peak * estimate,
-        achieved_tol=achieved,
-    )
+    theta = top * nodes
+    f = 2.0 * root * np.cosh(theta) * np.exp(-4.0 * root * np.sinh(0.5 * theta) ** 2)
+    return corner + peak * top * float(f @ weights)

@@ -73,6 +73,18 @@ class TestEvalDecoupled:
         with pytest.raises(EnumerationCapError):
             eval_decoupled(np.ones((14, 14)))
 
+    @pytest.mark.parametrize("shape, bound", [((20, 1), 32), ((1, 20), 32), ((10, 10), 8.2)])
+    def test_peak_memory(self, shape, bound):
+        # the 2^n x 2^m output (16 MiB at 21 bits, 8 MiB at 20) plus the half forms of the
+        # longer axis; a 2^n x n sign table of the long axis peaked near 180 MiB at (20, 1)
+        tracemalloc.start()
+        try:
+            eval_decoupled(np.ones(shape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 2**20
+
 
 class TestEvalUndecoupled:
     def test_single_product(self):

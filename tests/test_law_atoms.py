@@ -70,6 +70,8 @@ class TestEvalOutputs:
         assert np.array_equal(v[::-1], -v)
         assert np.array_equal(v[:, ::-1], -v)
         oracle = full_sign_matrix(a.shape[0]) @ a @ full_sign_matrix(a.shape[1]).T
+        if np.array_equal(a, np.round(a)):  # integer and +-1 sums are exact in any order
+            assert np.array_equal(v, oracle)
         assert np.abs(v - oracle).max() <= 1e-12 * max(np.abs(oracle).max(), 1.0)
 
     @settings(max_examples=100, deadline=None)

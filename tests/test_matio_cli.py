@@ -80,7 +80,6 @@ DEFAULT_RUN_SNAPSHOT = {
     "run.samples": "2000",
     "run.max_bits_1d": "24",
     "run.max_bits_2d": "26",
-    "run.quad_rel_tol": "1e-09",
     "run.orlicz_rel_tol": "1e-10",
     "run.format": "csv",
     "run.cache": "true",
@@ -140,7 +139,7 @@ class TestConfig:
         path = tmp_path / "user.cfg"
         path.write_text(
             "[run]\nseed = 7\nsamples = 30\nmax_bits_1d = 20\nmax_bits_2d = 22\n"
-            "quad_rel_tol = 1E-9\norlicz_rel_tol = 0.5e-11\nformat = both\n"
+            "orlicz_rel_tol = 0.5e-11\nformat = both\n"
             "out = elsewhere\ncache = no\n"
         )
         assert load_config(path).out_dir == "elsewhere"
@@ -149,7 +148,6 @@ class TestConfig:
             "run.samples": "30",
             "run.max_bits_1d": "20",
             "run.max_bits_2d": "22",
-            "run.quad_rel_tol": "1e-09",
             "run.orlicz_rel_tol": "5e-12",
             "run.format": "both",
             "run.cache": "false",
@@ -439,20 +437,6 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "[PASS] lemma2.bracket.z4" in out
         assert "[SKIP] lemma2.monotone.decreasing value=NA bound: needs two values of L, got 1" in out
-
-    def test_unreachable_quad_tolerance_skips_bracket(self, tmp_path, outdir, capsys):
-        # no double can certify a relative tolerance of 1e-300, so L(z) raises
-        # QuadratureError, recorded as a skip with the error text
-        cfg = tmp_path / "tight.cfg"
-        cfg.write_text("[run]\nquad_rel_tol = 1e-300\n[lemma2]\nz_values = 10000\n")
-        assert cli.main(
-            ["--config", str(cfg), "--out", str(outdir), "verify", "lemma2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "[SKIP] lemma2.bracket.z10000 value=NA bound: quadrature did not reach" in out
-        # with no value of L left, monotonicity is not checked, not passed vacuously
-        assert "[SKIP] lemma2.monotone.decreasing" in out
-        assert "suite lemma2: PASS" in out
 
 
 class TestCliScaling:

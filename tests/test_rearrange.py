@@ -3,16 +3,16 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaoslab.chaos import eval_decoupled, eval_undecoupled
 from chaoslab.dyadic import StepFunction1D, StepFunction2D, materialize_1d
-from chaoslab.errors import QuadratureError
 from chaoslab.rearrange import (
     VALUE_SNAP,
     Rearrangement,
@@ -238,7 +238,7 @@ class TestLogTailMeasure:
 
     def test_bracket(self):
         for z in (1.0, 4.0, 9.0, 16.0, 25.0):
-            L = log_distribution_L(z, rel_tol=1e-9)
+            L = log_distribution_L(z)
             assert 0.5 * math.exp(-2 * math.sqrt(z) + 2) <= L
             assert L <= 2.0 * math.exp(-math.sqrt(z) + 2)
 
@@ -250,6 +250,16 @@ class TestLogTailMeasure:
     def test_below_one_rejected(self):
         with pytest.raises(ValueError):
             log_distribution_L(0.5)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_nan_and_inf_rejected(self, z):
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            log_distribution_L(z)
+
+    def test_huge_z_underflows_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert log_distribution_L(1e300) == 0.0
 
     def test_against_scipy_oracle(self):
         quad = pytest.importorskip("scipy.integrate").quad
@@ -276,31 +286,16 @@ class TestLogTailMeasure:
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=1.0, max_value=1e4))
+    @example(751.90625)  # an adaptive stopping test once halted at 2 panels here, 4.7e-11 off
     def test_matches_oracle_to_1e12(self, z):
         assert log_distribution_L(z) == pytest.approx(self.u_oracle(z), rel=1e-12, abs=0.0)
 
-    # for z near 4e5 quad flags roundoff at epsrel 1e-13, yet its integral still holds
-    # about 1e-13 there (checked against mpmath), and L(z) underflows to 0 anyway
-    @pytest.mark.filterwarnings("ignore:The algorithm does not converge")
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.floats(min_value=0.0, max_value=6.0).map(lambda e: 10.0**e),
-        st.floats(min_value=-323.0, max_value=0.0).map(lambda e: 10.0**e),
-    )
-    def test_returns_or_raises_within_a_second(self, z, rel_tol):
+    @given(st.floats(min_value=0.0, max_value=6.0).map(lambda e: 10.0**e))
+    def test_returns_within_a_second(self, z):
         t0 = time.perf_counter()
-        try:
-            log_distribution_L(z, rel_tol)
-        except QuadratureError as err:
-            # subnormal results round to a few units of 5e-324
-            assert err.value == pytest.approx(self.u_oracle(z), rel=1e-12, abs=1e-320)
+        log_distribution_L(z)
         assert time.perf_counter() - t0 < 1.0
-
-    def test_tolerance_below_roundoff_raises(self):
-        with pytest.raises(QuadratureError) as err:
-            log_distribution_L(1e4, rel_tol=1e-300)
-        assert err.value.achieved_tol >= np.finfo(np.float64).eps
-        assert err.value.value == pytest.approx(self.u_oracle(1e4), rel=1e-12, abs=0.0)
 
     def test_import_leaves_numpy_polynomial_unloaded(self):
         # NumPy loads numpy.polynomial lazily; the quadrature nodes are built on first use

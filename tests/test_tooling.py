@@ -1,17 +1,19 @@
 """Static checks on the package sources and docs: allowed imports only, every import used,
-the README's caps at their values in the code, and its CLI section naming every option."""
+the README's caps at their values in the code, its CLI section naming every option, and the
+packaged defaults writing exactly the [run] keys that the configuration reads."""
 
 from __future__ import annotations
 
 import argparse
 import ast
+import configparser
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from chaoslab import cli
+from chaoslab import cli, config
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "chaoslab").glob("*.py"))
@@ -107,3 +109,9 @@ def test_readme_cli_section_names_option(name):
     # options in flag form (`--k`, `[--no-cache]`), commands as the start of a table cell
     pattern = rf"[\[`\s]{re.escape(name)}\b" if name.startswith("-") else rf"\| `{name}\b"
     assert re.search(pattern, _readme_section("CLI")), f"README's CLI section does not name {name}"
+
+
+def test_default_cfg_run_keys_are_the_loaded_keys():
+    parser = configparser.ConfigParser()
+    parser.read_string((ROOT / "src" / "chaoslab" / "default.cfg").read_text())
+    assert list(parser["run"]) == list(config._RUN_KEYS)
