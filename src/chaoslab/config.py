@@ -4,10 +4,11 @@ The packaged ``default.cfg`` is the single source of every default: it pins
 each suite's scale so verification runs are deterministic, and it is always
 read first.  A user file overlays it section by section, and the CLI's global
 flags override the [run] section last; the [run] keys are those of
-``_RUN_KEYS``, each written in ``default.cfg``.  The one computed fallback is
-``[theorem5] samples``, which falls back to ``[run] samples``.  The snapshot,
-every key but ``[run] out``, travels with every emitted artifact, so the
-artifacts do not depend on where they are written.
+``_RUN_KEYS``, each written in ``default.cfg``; any other [run] key is an
+error.  The one computed fallback is ``[theorem5] samples``, which falls back
+to ``[run] samples``.  The snapshot, every key but ``[run] out``, travels with
+every emitted artifact, so the artifacts do not depend on where they are
+written.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     parser.read_string(resources.files("chaoslab").joinpath("default.cfg").read_text())
     if path is not None:
         parser.read_string(Path(path).read_text(), source=str(path))
+    unknown = sorted(set(parser["run"]) - set(_RUN_KEYS))
+    if unknown:  # else a misspelt or retired key is ignored, and missing from the snapshot
+        raise ValueError(f"unknown [run] key(s): {', '.join(unknown)}")
     cfg = RunConfig(
         **{attr: getattr(parser, get)("run", key) for key, (attr, get) in _RUN_KEYS.items()},
         sections={name: dict(parser.items(name)) for name in parser.sections()},

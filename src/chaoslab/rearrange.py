@@ -47,9 +47,10 @@ class Rearrangement:
     def __post_init__(self):
         if self.values.size != self.masses.size or self.values.size == 0:
             raise ValueError("values and masses must be equal-length and nonempty")
-        if np.any(np.diff(self.values) >= 0):
-            raise ValueError("values must be strictly decreasing")
-        if np.any(self.masses <= 0):
+        # comparisons with NaN are False, so these reject NaN values and masses too
+        if not (np.all(self.values[:-1] > self.values[1:]) and self.values[-1] == self.values[-1]):
+            raise ValueError("values must be strictly decreasing and not NaN")
+        if not np.all(self.masses > 0):
             raise ValueError("masses must be positive")
 
     @property
@@ -105,24 +106,32 @@ class Distribution:
 def _sorted_steps(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     """Distinct |values| (descending) with exact masses, snap-merged.
 
-    One in-place sort of the |values| of ``x.law_atoms()``, read backwards; a step
-    starts wherever the descending values drop by more than ``VALUE_SNAP``.  Each
-    step is anchored at its first (largest) value and holds exactly the values
-    within ``VALUE_SNAP`` of that anchor, so a run of small gaps that spans more
-    than ``VALUE_SNAP`` in total is split again from its anchor.  Masses count
-    atoms at the weight ``law_atoms`` gives them: the chaos's representative
-    quarter or half has the same distinct values as all atoms, each repeated
-    4 or 2 times less, so steps and masses are the same bit for bit.
+    One sort buffer: the owned copy of the |values| of ``x.law_atoms()`` is sorted
+    descending in place (negated, sorted, negated back, all exact).  A step starts
+    wherever the descending values drop by more than ``VALUE_SNAP``.  When every
+    value starts one, as for any law of distinct values, the buffer itself is
+    returned as the values, each at one atom's weight.  Otherwise each step is
+    anchored at its first (largest) value and holds exactly the values within
+    ``VALUE_SNAP`` of that anchor, so a run of small gaps that spans more than
+    ``VALUE_SNAP`` in total is split again from its anchor.  Masses count atoms at
+    the weight ``law_atoms`` gives them: the chaos's representative quarter or half
+    has the same distinct values as all atoms, each repeated 4 or 2 times less, so
+    steps and masses are the same bit for bit.  NaN values are rejected.
     """
     atoms, weight = x.law_atoms()
     vals = np.abs(atoms).reshape(-1)
+    np.negative(vals, out=vals)
     vals.sort()
-    vals = vals[::-1]
+    np.negative(vals, out=vals)
+    if vals[-1] != vals[-1]:  # NaN sorts last
+        raise ValueError("step function values must not be NaN")
     # the drops go ``_DROP_BLOCK`` at a time, so no temporary is as long as vals
     new = np.ones(vals.size, dtype=bool)
     for k in range(0, vals.size - 1, _DROP_BLOCK):
         run = vals[k : k + _DROP_BLOCK + 1]
         np.greater(run[:-1] - run[1:], VALUE_SNAP, out=new[k + 1 : k + run.size])
+    if new.all():  # one atom per step
+        return vals, np.full(vals.size, weight)
     starts = np.flatnonzero(new)
     values = vals[starts]
     # a step whose last value lies more than VALUE_SNAP below its anchor is split again;

@@ -25,6 +25,7 @@ _ORLICZ_GROUP = 64  # steps per point of the coarse law that gives Newton its st
 # a sum that holds exp(0) = 1 loses nothing when its exponents are clamped here, as 2^26
 # atoms of e^-700 lie far below one ulp of 1
 _EXP_FLOOR = -700.0
+_LORENTZ_BLOCK = 1 << 14  # steps per block of phi differences in lorentz_norm
 
 
 def _sum_exp(exponents: np.ndarray, lowest: float = -math.inf) -> float:
@@ -140,7 +141,9 @@ def marcinkiewicz_norm(r: Rearrangement, phi: Callable[[np.ndarray], np.ndarray]
     weights = phi(r.bounds)
     if np.any(weights <= 0):
         raise ValueError("phi must be positive on (0, 1]")
-    return float(np.max(np.cumsum(r.values * r.masses) / weights))
+    ratio = np.multiply(r.values, r.masses)  # one buffer: x* m, then F(b_k), then F / phi
+    np.divide(np.cumsum(ratio, out=ratio), weights, out=ratio)
+    return float(np.max(ratio))
 
 
 def phi_eps(eps: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -163,15 +166,18 @@ def quasinorm_phi_eps(r: Rearrangement, eps: float) -> float:
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    weights = np.log2(2.0 / r.bounds) ** (eps - 0.5)
-    return float(np.max(r.values * weights))
+    weights = r.bounds  # a fresh array, worked in place
+    np.power(np.log2(np.divide(2.0, weights, out=weights), out=weights), eps - 0.5, out=weights)
+    weights *= r.values
+    return float(np.max(weights))
 
 
 def lorentz_norm(r: Rearrangement, p: float) -> float:
     """Lorentz norm with weight log2(2/t)^(1-p): exact Stieltjes sum over steps.
 
-    ``max|x*|`` is factored out of the powers, as in ``lp_norm``; two owned buffers hold
-    the weights phi at the bounds and the powered values.
+    ``max|x*|`` is factored out of the powers, as in ``lp_norm``.  Two owned buffers hold
+    the powered values and the weights phi at the bounds, which become the differences of
+    phi in place, ``_LORENTZ_BLOCK`` steps at a time, so no third buffer is as long.
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
@@ -182,8 +188,12 @@ def lorentz_norm(r: Rearrangement, p: float) -> float:
     phi = np.cumsum(r.masses)  # the bounds, then phi at each
     np.power(np.log2(np.divide(2.0, phi, out=phi), out=phi), 1.0 - p, out=phi)
     np.power(np.divide(vals, top, out=vals), p, out=vals)
-    vals[0] *= phi[0]  # phi(0+) = 0
-    vals[1:] *= phi[1:] - phi[:-1]
+    # phi turns into its differences (phi(0+) = 0) a block at a time, from the top down, so
+    # each block still reads the phi below it; NumPy copies only the block it overlaps
+    for hi in range(phi.size, 1, -_LORENTZ_BLOCK):
+        lo = max(hi - _LORENTZ_BLOCK, 1)
+        np.subtract(phi[lo:hi], phi[lo - 1 : hi - 1], out=phi[lo:hi])
+    vals *= phi
     return top * float(np.sum(vals)) ** (1.0 / p)
 
 

@@ -157,7 +157,9 @@ class TestConfig:
     @pytest.mark.parametrize("overlay, message", [
         ("[run]\nformat = xml\n", "format must be one of csv, json, both, got 'xml'"),
         ("[run]\ncache = maybe\n", "Not a boolean: maybe"),
-    ], ids=["format", "cache"])
+        ("[run]\nsampels = 10\nquad_rel_tol = 1e-9\n",
+         "unknown [run] key(s): quad_rel_tol, sampels"),
+    ], ids=["format", "cache", "unknown_key"])
     def test_bad_run_value_rejected(self, tmp_path, overlay, message):
         path = tmp_path / "user.cfg"
         path.write_text(overlay)
@@ -339,6 +341,7 @@ class TestCliExitCodes:
         "case, code",
         [("missing", 2), ("directory", 2), ("parse", 2), ("lp_nan", 2),
          ("config_value", 2), ("config_header", 2), ("config_format", 2), ("config_cache", 2),
+         ("config_key", 2),
          ("orlicz_tol", 2), ("theorem7_k", 2), ("cap", 3)],
     )
     def test_one_error_line_no_traceback(self, tmp_path, case, code):
@@ -352,6 +355,7 @@ class TestCliExitCodes:
         (tmp_path / "header.cfg").write_text("seed = 3\n")
         (tmp_path / "format.cfg").write_text("[run]\nformat = xml\n")
         (tmp_path / "cache.cfg").write_text("[run]\ncache = maybe\n")
+        (tmp_path / "key.cfg").write_text("[run]\nsampels = 10\n")
         (tmp_path / "tol.cfg").write_text("[run]\norlicz_rel_tol = 1e-17\n")
         (tmp_path / "k.cfg").write_text("[theorem7]\nk_max = -1\n")
         args = {
@@ -364,6 +368,8 @@ class TestCliExitCodes:
             # verify, scaling and walsh once wrote nothing and exited 0 for an unknown format
             "config_format": ["--config", str(tmp_path / "format.cfg"), "verify", "clt"],
             "config_cache": ["--config", str(tmp_path / "cache.cfg"), "verify", "clt"],
+            # a misspelt key was once ignored, and the run went on with the default
+            "config_key": ["--config", str(tmp_path / "key.cfg"), "verify", "clt"],
             "orlicz_tol": ["--config", str(tmp_path / "tol.cfg"), "norm", str(good),
                            "--space", "orlicz-exp"],
             # a negative block count would build no block: zero checks, not a PASS

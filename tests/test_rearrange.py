@@ -48,7 +48,8 @@ def anchor_merge_oracle(x):
 def snap_step_functions(draw):
     """1D or 2D step functions whose atoms repeat values from a pool of random
     values and of clusters chained from gaps of at most VALUE_SNAP each, so a
-    cluster can span more than VALUE_SNAP; signs are random."""
+    cluster can span more than VALUE_SNAP, or else take distinct values; signs
+    are random."""
     gaps = st.one_of(
         st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]), st.floats(0.0, 1.0)
     ).map(lambda g: g * VALUE_SNAP)
@@ -58,7 +59,13 @@ def snap_step_functions(draw):
         chain = draw(st.lists(gaps, max_size=12))
         pool.extend((start + np.cumsum([0.0, *chain])).tolist())
     bits = draw(st.integers(0, 7))
-    picks = draw(st.lists(st.sampled_from(pool), min_size=2**bits, max_size=2**bits))
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.sampled_from(pool), min_size=2**bits, max_size=2**bits))
+    else:  # distinct |values|, gaps above VALUE_SNAP: every atom is its own step
+        wide = st.floats(1.5, 1e12).map(lambda g: g * VALUE_SNAP)
+        chain = draw(st.lists(wide, min_size=2**bits - 1, max_size=2**bits - 1))
+        start = draw(st.floats(0.0, 50.0))
+        picks = draw(st.permutations((start + np.cumsum([0.0, *chain])).tolist()))
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=2**bits, max_size=2**bits))
     values = np.array(picks) * np.array(signs)
     if draw(st.booleans()):
@@ -135,6 +142,28 @@ class TestRearrangement:
         with pytest.raises(ValueError):
             Rearrangement(values=np.array([2.0, 1.0]), masses=np.array([0.5, -0.5]))
 
+    @pytest.mark.parametrize("values, masses", [
+        ([math.inf, math.inf], [0.5, 0.5]),
+        ([1.0, 1.0], [0.5, 0.5]),
+        ([math.nan, 1.0], [0.5, 0.5]),
+        ([2.0, math.nan], [0.5, 0.5]),
+        ([math.nan], [1.0]),
+        ([2.0, 1.0], [0.5, math.nan]),
+        ([2.0, 1.0], [0.5, 0.0]),
+    ], ids=["inf-tie", "tie", "nan-first", "nan-last", "nan-only", "nan-mass", "zero-mass"])
+    def test_validation_rejects_unordered_and_nan(self, values, masses):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected by the checks, not by a RuntimeWarning
+            with pytest.raises(ValueError):
+                Rearrangement(values=np.array(values), masses=np.array(masses))
+
+    @pytest.mark.parametrize("place", [0, 7])
+    def test_nan_step_function_rejected(self, place):
+        values = np.arange(8.0)
+        values[place] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            rearrangement(StepFunction1D(n=3, values=values))
+
 
 class TestEquimeasurable:
     def test_different_index_placement(self):
@@ -205,6 +234,29 @@ class TestSnapMerge:
         assert np.array_equal(r.values, values)
         assert np.array_equal(r.masses, masses)
         assert r.values.size == 24 + 14  # the chain splits into steps of 3, 3, ..., 1
+
+    def test_distinct_law_across_drop_blocks(self):
+        # 2^15 distinct Gaussian atoms span the 2^14 drop-block seam; each is its own step
+        rng = np.random.Generator(np.random.Philox(key=23))
+        x = StepFunction1D(n=15, values=rng.standard_normal(2**15))
+        values, masses = anchor_merge_oracle(x)
+        r = rearrangement(x)
+        assert r.values.size == 2**15
+        assert np.array_equal(r.values, values)
+        assert np.array_equal(r.masses, masses)
+
+    def test_one_close_pair_at_the_seam(self):
+        # the same law with sorted positions 2^14 - 1 and 2^14 moved 0.5 VALUE_SNAP apart:
+        # only the drop test sees them merge, and that one pair leaves the one-atom path
+        rng = np.random.Generator(np.random.Philox(key=23))
+        mags = np.sort(np.abs(rng.standard_normal(2**15)))[::-1]
+        mags[2**14] = mags[2**14 - 1] - 0.5 * VALUE_SNAP
+        x = StepFunction1D(n=15, values=rng.permutation(mags) * rng.choice([-1.0, 1.0], 2**15))
+        values, masses = anchor_merge_oracle(x)
+        r = rearrangement(x)
+        assert r.values.size == 2**15 - 1
+        assert np.array_equal(r.values, values)
+        assert np.array_equal(r.masses, masses)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_runs_across_drop_blocks(self, seed):

@@ -552,6 +552,18 @@ class TestLorentz:
         with pytest.raises(ValueError):
             lorentz_norm(char_rearrangement(1.0), 2.5)
 
+    @pytest.mark.parametrize("steps", [1, 2, 2**14, 2**14 + 1, 2**15 + 3])
+    def test_blocks_match_one_pass(self, steps):
+        # the phi differences go in blocks of 2^14 steps; the sum is the one-pass formula's
+        rng = np.random.Generator(np.random.Philox(key=36))
+        values = np.sort(rng.uniform(0.5, 3.0, steps))[::-1].copy()
+        r = Rearrangement(values=values, masses=rng.uniform(0.5, 1.0, steps) / steps)
+        p = 1.5
+        phi = np.log2(2.0 / r.bounds) ** (1.0 - p)
+        top = values[0]
+        powered = (values / top) ** p * np.diff(phi, prepend=0.0)
+        assert lorentz_norm(r, p) == top * float(np.sum(powered)) ** (1.0 / p)
+
 
 class TestNormProperties:
     def _norms(self, r):
@@ -581,6 +593,43 @@ class TestNormProperties:
         x = StepFunction1D(n=4, values=vals)
         y = StepFunction1D(n=4, values=vals[rng.permutation(16)])
         assert self._norms(rearrangement(x)) == self._norms(rearrangement(y))
+
+
+class TestLawLayerMemory:
+    """tracemalloc peaks on a 2^16-atom law of distinct values, in multiples of its bytes."""
+
+    SLACK = 4096  # bytes of the interpreter's own small objects
+
+    @pytest.fixture(scope="class")
+    def law(self):
+        rng = np.random.Generator(np.random.Philox(key=37))
+        return StepFunction1D(n=16, values=rng.standard_normal(2**16))
+
+    def _peak(self, fn):
+        fn()  # the first call may build lazy state
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize("name, budget", [
+        ("rearrangement", 2.25),  # the sort buffer kept as the values, and the masses
+        ("quasinorm_phi_eps", 1.1),  # the bounds, worked in place
+        ("lorentz_norm", 2.3),  # the values and phi, and a block of phi differences
+        ("marcinkiewicz_norm", 3.0),  # the bounds and phi_eps's two temporaries
+    ])
+    def test_peak_within_budget(self, law, name, budget):
+        r = rearrangement(law)
+        fn = {
+            "rearrangement": lambda: rearrangement(law),
+            "quasinorm_phi_eps": lambda: quasinorm_phi_eps(r, 0.25),
+            "lorentz_norm": lambda: lorentz_norm(r, 1.5),
+            "marcinkiewicz_norm": lambda: marcinkiewicz_norm(r, phi_eps(0.25)),
+        }[name]
+        assert self._peak(fn) <= budget * law.values.nbytes + self.SLACK
 
 
 class TestParseSpace:

@@ -1,12 +1,14 @@
 """Static checks on the package sources and docs: allowed imports only, every import used,
-the README's caps at their values in the code, its CLI section naming every option, and the
-packaged defaults writing exactly the [run] keys that the configuration reads."""
+the README's caps at their values in the code, its CLI section naming every option, the
+packaged defaults writing exactly the [run] keys that the configuration reads, and every
+benchmark record well-formed."""
 
 from __future__ import annotations
 
 import argparse
 import ast
 import configparser
+import json
 import re
 import sys
 from pathlib import Path
@@ -115,3 +117,18 @@ def test_default_cfg_run_keys_are_the_loaded_keys():
     parser = configparser.ConfigParser()
     parser.read_string((ROOT / "src" / "chaoslab" / "default.cfg").read_text())
     assert list(parser["run"]) == list(config._RUN_KEYS)
+
+
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_pr*.json"))
+
+
+def test_bench_records_found():
+    assert BENCH_RECORDS
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda p: p.name)
+def test_bench_record_is_well_formed(path):
+    record = json.loads(path.read_text())
+    assert record["label"] == path.stem.removeprefix("BENCH_")
+    assert re.match(r"python3? chaosbench/run\.py ", record["command"]), record["command"]
+    assert re.fullmatch(r"[0-9a-f]{40}", record["parent_commit"]), record["parent_commit"]
