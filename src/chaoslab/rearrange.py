@@ -9,9 +9,18 @@ standing for 4 or 2 atoms; this is exact because the other atoms hold exact
 negations or copies of theirs.  A value is snapped into a step when it lies
 within ``VALUE_SNAP`` of the step's first value, to absorb floating-point
 noise; in-scope functions only take values that are small signed sums of
-coefficients, so genuinely distinct values never collide.  The log-log tail
-measure ``log_distribution_L`` is the one numerical value here: a fixed
-160-node Gauss-Legendre rule, with no tolerance to set.
+coefficients, so genuinely distinct values never collide.
+
+Work on a law goes ``BLOCK`` elements at a time through one or two block
+buffers, so past the sort buffer no array as long as the law is allocated:
+the drop test of the sort, and the bounds (cumulative masses) that the norms
+in ``spaces`` read through ``Rearrangement.bound_blocks``.  ``BLOCK`` doubles
+fill 64 KiB, half of glibc's default 128 KiB mmap threshold, so a block
+buffer comes from the heap and reuses its pages instead of faulting in fresh
+ones on every call.  A law of one atom per step keeps its one weight as a
+read-only broadcast view.  The log-log tail measure ``log_distribution_L``
+is the one numerical value here: a fixed 160-node Gauss-Legendre rule, with
+no tolerance to set.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import numpy as np
 from .dyadic import StepFunction1D, StepFunction2D
 
 VALUE_SNAP = 1e-12
-_DROP_BLOCK = 1 << 14
+BLOCK = 1 << 13  # elements per block buffer: 64 KiB of doubles, below glibc's mmap threshold
 _UNDERFLOW_EFOLDS = 750.0  # exp(-750) is 0 in double precision
 _PANELS = 8  # equal panels of the Gauss-Legendre rule for L(z)
 
@@ -37,7 +46,8 @@ class Rearrangement:
     """Decreasing rearrangement as strictly decreasing (value, mass) steps.
 
     Masses are positive and sum to a total mass M, which is 1 for every law
-    this package builds; ``orlicz_exp_norm`` reads any M.  The function is read
+    this package builds; ``orlicz_exp_norm`` reads any M.  They may be a read-only
+    view, as of one weight broadcast over every step.  The function is read
     left-continuously on (0, M]: x*(t) = values[k] for t in (bound[k-1], bound[k]].
     """
 
@@ -47,16 +57,28 @@ class Rearrangement:
     def __post_init__(self):
         if self.values.size != self.masses.size or self.values.size == 0:
             raise ValueError("values and masses must be equal-length and nonempty")
-        # comparisons with NaN are False, so these reject NaN values and masses too
-        if not (np.all(self.values[:-1] > self.values[1:]) and self.values[-1] == self.values[-1]):
+        # comparisons with NaN are False, and min propagates NaN, so these reject NaN values
+        # and masses too
+        if not (_ordered(self.values, np.greater) and self.values[-1] == self.values[-1]):
             raise ValueError("values must be strictly decreasing and not NaN")
-        if not np.all(self.masses > 0):
+        if not self.masses.min() > 0:
             raise ValueError("masses must be positive")
 
     @property
     def bounds(self) -> np.ndarray:
         """Right endpoints of the steps (cumulative masses)."""
         return np.cumsum(self.masses)
+
+    def bound_blocks(self, buf: np.ndarray):
+        """Yield (lo, hi, bounds[lo:hi]) for blocks of ``BLOCK`` steps, each written in ``buf``,
+        which the caller may then overwrite: the bounds of ``bounds``, bit for bit."""
+        carry = 0.0
+        for lo in range(0, self.values.size, BLOCK):
+            hi = min(lo + BLOCK, self.values.size)
+            block = buf[: hi - lo]
+            np.copyto(block, self.masses[lo:hi])
+            carry = carry_cumsum(block, carry)
+            yield lo, hi, block
 
     @property
     def steps(self) -> list[tuple[float, float]]:
@@ -88,9 +110,10 @@ class Distribution:
     def __post_init__(self):
         if self.thresholds.size != self.measure_above.size:
             raise ValueError("thresholds and measure_above must be equal-length")
-        if np.any(np.diff(self.thresholds) <= 0):
+        # comparisons with NaN are False, so these reject NaN too
+        if not _ordered(self.thresholds, np.less):
             raise ValueError("thresholds must be strictly increasing")
-        if np.any(np.diff(self.measure_above) > 0):
+        if not _ordered(self.measure_above, np.greater_equal):
             raise ValueError("measure_above must be non-increasing")
 
     def at(self, z: float) -> float:
@@ -103,6 +126,30 @@ class Distribution:
         return float(self.measure_above[k - 1])
 
 
+def block_buffer(size: int) -> np.ndarray:
+    """A buffer of one block, or of ``size`` elements when the law is shorter."""
+    return np.empty(min(BLOCK, size))
+
+
+def _ordered(a: np.ndarray, op) -> bool:
+    """True iff op(a[k], a[k + 1]) for every k, compared a block at a time with no np.diff
+    or step-sized temporary."""
+    for lo in range(0, a.size - 1, BLOCK):
+        run = a[lo : lo + BLOCK + 1]
+        if not op(run[:-1], run[1:]).all():
+            return False
+    return True
+
+
+def carry_cumsum(block: np.ndarray, carry: float) -> float:
+    """Cumulative sums of ``block`` in place after the earlier blocks' total ``carry``, which
+    rides in its first slot; returns the new total.  NumPy's cumsum adds in sequence, so block
+    after block this is one long cumsum, bit for bit."""
+    block[0] += carry
+    np.cumsum(block, out=block)
+    return float(block[-1])
+
+
 def _sorted_steps(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     """Distinct |values| (descending) with exact masses, snap-merged.
 
@@ -110,7 +157,8 @@ def _sorted_steps(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     descending in place (negated, sorted, negated back, all exact).  A step starts
     wherever the descending values drop by more than ``VALUE_SNAP``.  When every
     value starts one, as for any law of distinct values, the buffer itself is
-    returned as the values, each at one atom's weight.  Otherwise each step is
+    returned as the values, and the masses are one atom's weight broadcast over
+    them, a read-only view.  Otherwise each step is
     anchored at its first (largest) value and holds exactly the values within
     ``VALUE_SNAP`` of that anchor, so a run of small gaps that spans more than
     ``VALUE_SNAP`` in total is split again from its anchor.  Masses count atoms at
@@ -125,13 +173,20 @@ def _sorted_steps(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     np.negative(vals, out=vals)
     if vals[-1] != vals[-1]:  # NaN sorts last
         raise ValueError("step function values must not be NaN")
-    # the drops go ``_DROP_BLOCK`` at a time, so no temporary is as long as vals
-    new = np.ones(vals.size, dtype=bool)
-    for k in range(0, vals.size - 1, _DROP_BLOCK):
-        run = vals[k : k + _DROP_BLOCK + 1]
-        np.greater(run[:-1] - run[1:], VALUE_SNAP, out=new[k + 1 : k + run.size])
-    if new.all():  # one atom per step
-        return vals, np.full(vals.size, weight)
+    # the drops go a block at a time through one gap buffer; the step flags ``new`` are built
+    # from the first block whose gaps are not all wide, so a law of distinct values needs none
+    gaps = block_buffer(vals.size)
+    new = None
+    for k in range(0, vals.size - 1, BLOCK):
+        run = vals[k : k + BLOCK + 1]
+        gap = np.subtract(run[:-1], run[1:], out=gaps[: run.size - 1])
+        if new is None:
+            if gap.min() > VALUE_SNAP:
+                continue
+            new = np.ones(vals.size, dtype=bool)
+        np.greater(gap, VALUE_SNAP, out=new[k + 1 : k + run.size])
+    if new is None:  # one atom per step
+        return vals, np.broadcast_to(weight, vals.size)
     starts = np.flatnonzero(new)
     values = vals[starts]
     # a step whose last value lies more than VALUE_SNAP below its anchor is split again;
@@ -166,11 +221,12 @@ def rearrangement(x: StepFunction) -> Rearrangement:
 def distribution(x: StepFunction) -> Distribution:
     """Exact distribution function of |x|."""
     values, masses = _sorted_steps(x)
-    above = np.concatenate([[0.0], np.cumsum(masses[:-1])])
-    # ascending thresholds
-    return Distribution(
-        thresholds=values[::-1].copy(), measure_above=above[::-1].copy()
-    )
+    # thresholds ascend, so measure_above[k] is the mass of the steps above values[-1 - k]:
+    # the cumsum of the masses, written back to front into one buffer after a 0
+    above = np.empty(values.size)
+    above[-1] = 0.0
+    np.cumsum(masses[:-1], out=above[-2::-1])
+    return Distribution(thresholds=values[::-1].copy(), measure_above=above)
 
 
 def equimeasurable(x: StepFunction, y: StepFunction) -> bool:

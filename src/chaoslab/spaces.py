@@ -6,6 +6,14 @@ breakpoints), the exact sup-form quasi-norm for the weights
 ``log2(2/u)^(eps-1/2)``, Lorentz norms, and plain Lp.  The Orlicz function is
 normalized so the characteristic function of the whole interval has norm 1,
 which pins the fundamental function to ``1/ln(1 + (e-1)/t)``.
+
+Every norm walks its law ``rearrange.BLOCK`` elements at a time through one or
+two block buffers of its own, so none allocates an array as long as the law:
+the atoms of ``law_atoms`` (``lp_norm``, ``exp_moment``), or the steps of a
+``Rearrangement`` with their bounds from ``Rearrangement.bound_blocks``.  The
+arithmetic on each element is that of the one-pass formula; only sums over
+the whole law (``np.sum``, ``np.dot``) add block by block.  Cumulative sums
+carry the previous block's total, so they are bit for bit the one-pass ones.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .rearrange import Rearrangement, StepFunction, rearrangement
+from .rearrange import BLOCK, Rearrangement, StepFunction, block_buffer, carry_cumsum, rearrangement
 
 _ORLICZ_TARGET = math.e - 1.0  # integral bound making ||chi_(0,1)|| = 1
 _ORLICZ_MAX_STEPS = 100  # a guard: from its start Newton takes a few steps
@@ -25,7 +33,6 @@ _ORLICZ_GROUP = 64  # steps per point of the coarse law that gives Newton its st
 # a sum that holds exp(0) = 1 loses nothing when its exponents are clamped here, as 2^26
 # atoms of e^-700 lie far below one ulp of 1
 _EXP_FLOOR = -700.0
-_LORENTZ_BLOCK = 1 << 14  # steps per block of phi differences in lorentz_norm
 
 
 def _sum_exp(exponents: np.ndarray, lowest: float = -math.inf) -> float:
@@ -33,29 +40,50 @@ def _sum_exp(exponents: np.ndarray, lowest: float = -math.inf) -> float:
     ``lowest``, a lower bound on the exponents, spares the min pass when it is above the floor."""
     if lowest < _EXP_FLOOR and exponents.min() < _EXP_FLOOR:
         np.maximum(exponents, _EXP_FLOOR, out=exponents)
-    return float(np.sum(np.exp(exponents, out=exponents)))
+    return float(np.exp(exponents, out=exponents).sum())
+
+
+def _abs_blocks(atoms: np.ndarray):
+    """|atoms| at most ``BLOCK`` at a time, each in one block buffer that the caller may then
+    overwrite.  A block is a run of whole rows of the decoupled quarter, or a piece of a row:
+    law sizes are powers of two, so a row wider than a block splits into whole blocks, a view."""
+    buf = block_buffer(atoms.size)
+    rows = atoms.reshape(-1, atoms.shape[-1])
+    if rows.shape[1] > BLOCK:
+        rows = rows.reshape(-1, BLOCK)
+    per = BLOCK // rows.shape[1]
+    for i in range(0, rows.shape[0], per):
+        block = rows[i : i + per]
+        yield np.abs(block, out=buf[: block.size].reshape(block.shape))
+
+
+def _abs_top(atoms: np.ndarray) -> float:
+    """max|atoms| with no |x| copy; NaN if any atom is NaN, and +0.0 for a law of zeros."""
+    return abs(max(float(atoms.max()), -float(atoms.min())))
 
 
 def lp_norm(x: StepFunction, q: float) -> float:
     """Exact Lq norm of a step function; q = inf gives the sup norm.
 
-    Sums over the atoms of ``x.law_atoms()``.  ``max|x|`` is factored out of the powers,
-    so no q or scale overflows or underflows.  The powers are exp(q log v) in place:
-    ``**`` falls into libm pow's slow path when v^q underflows, as it does for most atoms
-    at large q; ``_sum_exp`` keeps exp itself out of its slow range.
+    Sums over the atoms of ``x.law_atoms()``, a block at a time.  ``max|x|`` is factored out
+    of the powers, so no q or scale overflows or underflows.  The powers are exp(q log v) in
+    place: ``**`` falls into libm pow's slow path when v^q underflows, as it does for most
+    atoms at large q; ``_sum_exp`` keeps exp itself out of its slow range.
     """
     if not q >= 1:  # also rejects NaN
         raise ValueError(f"q must be >= 1, got {q}")
     atoms, weight = x.law_atoms()
-    vals = np.abs(atoms)
-    top = float(vals.max())
+    top = _abs_top(atoms)
     if math.isinf(q) or top == 0.0:
         return top
-    vals /= top
-    with np.errstate(divide="ignore"):
-        np.log(vals, out=vals)  # log 0 = -inf, and exp(-inf) = 0
-    vals *= q
-    return top * (_sum_exp(vals) * weight) ** (1.0 / q)
+    total = 0.0
+    with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0
+        for vals in _abs_blocks(atoms):
+            vals /= top
+            np.log(vals, out=vals)
+            vals *= q
+            total += _sum_exp(vals)
+    return top * (total * weight) ** (1.0 / q)
 
 
 def exp_moment(x: StepFunction, u: float) -> float:
@@ -63,16 +91,22 @@ def exp_moment(x: StepFunction, u: float) -> float:
 
     Evaluated in log space so that large exponents degrade to inf instead of
     raising; u * max|x| beyond ~709 + log(weight) genuinely overflows a double.
+    The exponents u|x| + log(weight) - peak go a block at a time; the peak is that of
+    max|x|, bit for bit, as each step of the exponent is monotone.
     """
     if u <= 0:
         raise ValueError(f"u must be positive, got {u}")
     atoms, weight = x.law_atoms()
-    exponents = np.abs(atoms)  # an owned copy, worked in place
-    exponents *= u
-    exponents += math.log(weight)
-    peak = float(exponents.max())
-    exponents -= peak
-    log_sum = peak + math.log(_sum_exp(exponents, math.log(weight) - peak))  # |x| >= 0
+    log_weight = math.log(weight)
+    peak = _abs_top(atoms) * u + log_weight
+    lowest = log_weight - peak  # |x| >= 0
+    total = 0.0
+    for exponents in _abs_blocks(atoms):
+        exponents *= u
+        exponents += log_weight
+        exponents -= peak
+        total += _sum_exp(exponents, lowest)
+    log_sum = peak + math.log(total)
     if log_sum > 709.0:
         return math.inf
     return math.exp(log_sum) - 1.0
@@ -84,9 +118,10 @@ def orlicz_exp_norm(r: Rearrangement, rel_tol: float = 1e-10) -> float:
     The norm is 1/s at the root of log J(s) = log(M + e - 1), J(s) = sum m_k exp(v_k s) and M
     the total mass: there sum m_k expm1(v_k s) = e - 1, and as J is near e exp loses nothing to
     expm1.  It is solved on the law scaled by the exact 2^-e that puts max|x| in [1/2, 1), so
-    any finite scale works; the norm is 2^e / s.  log J is convex and increasing, so Newton falls
-    monotonically from above, to a step <= rel_tol * s.  It starts at the root of the law
-    coarsened to mean values over ``_ORLICZ_GROUP`` steps, above by Jensen, capped by
+    any finite scale works; the norm is 2^e / s.  Each block of the law is scaled into a block
+    buffer on every pass, so no scaled copy of the law is kept.  log J is convex and increasing,
+    so Newton falls monotonically from above, to a step <= rel_tol * s.  It starts at the root
+    of the law coarsened to mean values over ``_ORLICZ_GROUP`` steps, above by Jensen, capped by
     log1p((e - 1)/M_k)/v_k at each group's first step, M_k the mass up to it, as a group that
     mixes large values and 0 has its root far above.  The norm of 0 is 0.
     """
@@ -95,34 +130,77 @@ def orlicz_exp_norm(r: Rearrangement, rel_tol: float = 1e-10) -> float:
     if r.values[0] == 0.0:
         return 0.0
     e = math.frexp(float(r.values[0]))[1]
-    return math.ldexp(1.0 / _orlicz_root(np.ldexp(r.values, -e), r.masses, rel_tol)[0], e)
+    return math.ldexp(1.0 / _orlicz_root(r.values, r.masses, e, rel_tol)[0], e)
 
 
-def _orlicz_root(vals: np.ndarray, masses: np.ndarray, rel_tol: float) -> tuple[float, int]:
-    """The root s on a scaled law and the full-law Newton steps it took."""
-    starts = np.arange(0, vals.size, _ORLICZ_GROUP)
-    buf = np.multiply(masses, vals)  # the one buffer: m v for the group means, then each step
+def _orlicz_root(values, masses, e: int, rel_tol: float) -> tuple[float, int]:
+    """The root s on the law scaled by 2^-e and the full-law Newton steps it took."""
+    size = values.size
+    vals, buf = block_buffer(size), block_buffer(size)
+
+    def scaled(lo: int) -> np.ndarray:
+        block = values[lo : lo + BLOCK]
+        return np.ldexp(block, -e, out=vals[: block.size])
+
+    # BLOCK is a multiple of _ORLICZ_GROUP, so no group straddles two blocks
+    starts = np.arange(0, size, _ORLICZ_GROUP)
     mass = np.add.reduceat(masses, starts)
-    mean = np.add.reduceat(buf, starts) / mass
+    mean = np.empty(starts.size)
+    for lo in range(0, size, BLOCK):
+        v = scaled(lo)
+        local = starts[: -(-v.size // _ORLICZ_GROUP)]  # the block's group starts, from 0
+        mv = np.multiply(masses[lo : lo + v.size], v, out=buf[: v.size])
+        np.add.reduceat(mv, local, out=mean[lo // _ORLICZ_GROUP :][: local.size])
+    mean /= mass
     cum = np.cumsum(mass)
     target = math.log(float(cum[-1]) + _ORLICZ_TARGET)
-    with np.errstate(divide="ignore", over="ignore"):
-        step_bounds = np.log1p(_ORLICZ_TARGET / (cum - mass + masses[starts])) / vals[starts]
-        s = float(np.min(np.log1p(_ORLICZ_TARGET / cum) / mean))
+    with np.errstate(divide="ignore", over="ignore"):  # each group array worked in place
+        cap = cum - mass
+        cap += masses[starts]
+        np.log1p(np.divide(_ORLICZ_TARGET, cap, out=cap), out=cap)
+        cap /= np.ldexp(values[starts], -e)
+        coarse = np.divide(_ORLICZ_TARGET, cum)
+        np.log1p(coarse, out=coarse)
+        coarse /= mean
+        s = float(coarse.min())
     # one group: its closed form s is the coarse root; an infinite s means a mean underflowed,
     # and the group-start bounds alone must do
     if starts.size > 1 and s < math.inf:
-        s = _newton_log_j(mean, mass, target, s, rel_tol, cum)[0]
-    return _newton_log_j(vals, masses, target, min(s, float(step_bounds.min())), rel_tol, buf)
+        s = _newton_log_j(lambda s: _log_j_sums(mean, mass, s, cum), target, s, rel_tol)[0]
+
+    def sums(s: float) -> tuple[float, float]:
+        j = dj = 0.0
+        for lo in range(0, size, BLOCK):
+            v = scaled(lo)
+            bj, bdj = _log_j_sums(v, masses[lo : lo + v.size], s, buf[: v.size])
+            j += bj
+            dj += bdj
+        return j, dj
+
+    return _newton_log_j(sums, target, min(s, float(cap.min())), rel_tol)
 
 
-def _newton_log_j(vals, masses, target: float, s: float, rel_tol: float, buf) -> tuple[float, int]:
-    """Newton on log J(s) = target from s, working in ``buf``; returns (root, steps taken)."""
+def _weighted_sum(masses: np.ndarray, x: np.ndarray) -> float:
+    """sum m x.  One weight broadcast over the steps (stride 0) is factored out: np.dot would
+    first copy it into a fresh array."""
+    if masses.strides[0] == 0:
+        return float(masses[0]) * float(x.sum())
+    return float(np.dot(masses, x))
+
+
+def _log_j_sums(vals, masses, s: float, buf) -> tuple[float, float]:
+    """J(s) = sum m exp(v s) and J'(s) = sum m v exp(v s), worked in ``buf``."""
+    np.exp(np.multiply(vals, s, out=buf), out=buf)
+    j = _weighted_sum(masses, buf)
+    buf *= vals
+    return j, _weighted_sum(masses, buf)
+
+
+def _newton_log_j(sums, target: float, s: float, rel_tol: float) -> tuple[float, int]:
+    """Newton on log J(s) = target from s, with (J, J') = ``sums(s)``; returns (root, steps)."""
     for steps in range(1, _ORLICZ_MAX_STEPS + 1):
-        np.exp(np.multiply(vals, s, out=buf), out=buf)
-        j = float(np.dot(masses, buf))
-        buf *= vals
-        step = (math.log(j) - target) * j / float(np.dot(masses, buf))
+        j, dj = sums(s)
+        step = (math.log(j) - target) * j / dj
         s -= step
         if abs(step) <= rel_tol * s or (step < 0.0 and steps > 1):  # a late rise is rounding
             return s, steps
@@ -137,13 +215,20 @@ def marcinkiewicz_norm(r: Rearrangement, phi: Callable[[np.ndarray], np.ndarray]
     b_k = ``r.bounds``: on each step F is affine, so F / phi is quasiconvex
     there and peaks at an endpoint; on the first step F(t) = x*(0+) t and
     phi(t) / t does not increase, so the open end t -> 0+ adds nothing.
+    ``phi`` is called on a block of bounds at a time.
     """
-    weights = phi(r.bounds)
-    if np.any(weights <= 0):
-        raise ValueError("phi must be positive on (0, 1]")
-    ratio = np.multiply(r.values, r.masses)  # one buffer: x* m, then F(b_k), then F / phi
-    np.divide(np.cumsum(ratio, out=ratio), weights, out=ratio)
-    return float(np.max(ratio))
+    bounds, ratio = block_buffer(r.values.size), block_buffer(r.values.size)
+    integral = 0.0
+    peaks = np.empty(len(range(0, r.values.size, BLOCK)))  # the max of each block
+    for lo, hi, block in r.bound_blocks(bounds):
+        weights = phi(block)
+        if (weights <= 0).any():
+            raise ValueError("phi must be positive on (0, 1]")
+        f = np.multiply(r.values[lo:hi], r.masses[lo:hi], out=ratio[: hi - lo])  # x* m, F, F/phi
+        integral = carry_cumsum(f, integral)
+        peaks[lo // BLOCK] = np.divide(f, weights, out=f).max()
+        del weights  # before the next block's phi
+    return float(peaks.max())
 
 
 def phi_eps(eps: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -151,9 +236,12 @@ def phi_eps(eps: float) -> Callable[[np.ndarray], np.ndarray]:
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
 
-    def phi(t: np.ndarray) -> np.ndarray:
+    def phi(t: np.ndarray) -> np.ndarray:  # one array, worked in place
         t = np.asarray(t, dtype=np.float64)
-        return t * np.log2(2.0 / t) ** (0.5 - eps)
+        w = np.divide(2.0, t, out=np.empty_like(t))
+        np.power(np.log2(w, out=w), 0.5 - eps, out=w)
+        w *= t
+        return w
 
     return phi
 
@@ -162,39 +250,45 @@ def quasinorm_phi_eps(r: Rearrangement, eps: float) -> float:
     """Exact sup of x*(u) * log2(2/u)^(eps - 1/2) over u in (0, 1].
 
     The weight increases in u while x* is a decreasing step, so the sup is
-    attained at a step's right endpoint; evaluating there is exact.
+    attained at a step's right endpoint; evaluating there is exact.  Each block
+    of bounds is worked in place.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    weights = r.bounds  # a fresh array, worked in place
-    np.power(np.log2(np.divide(2.0, weights, out=weights), out=weights), eps - 0.5, out=weights)
-    weights *= r.values
-    return float(np.max(weights))
+    peaks = np.empty(len(range(0, r.values.size, BLOCK)))  # the max of each block
+    for lo, hi, weights in r.bound_blocks(block_buffer(r.values.size)):
+        np.power(np.log2(np.divide(2.0, weights, out=weights), out=weights), eps - 0.5, out=weights)
+        weights *= r.values[lo:hi]
+        peaks[lo // BLOCK] = weights.max()
+    return float(peaks.max())
 
 
 def lorentz_norm(r: Rearrangement, p: float) -> float:
     """Lorentz norm with weight log2(2/t)^(1-p): exact Stieltjes sum over steps.
 
-    ``max|x*|`` is factored out of the powers, as in ``lp_norm``.  Two owned buffers hold
-    the powered values and the weights phi at the bounds, which become the differences of
-    phi in place, ``_LORENTZ_BLOCK`` steps at a time, so no third buffer is as long.
+    ``max|x*|`` is factored out of the powers, as in ``lp_norm``.  A block at a time, one
+    buffer holds phi at the bounds, the other its differences (phi(0+) = 0, and the phi of
+    the block before carried over); then the first takes the powered values times them.
     """
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
-    vals = np.abs(r.values)
-    top = float(vals.max())
+    top = max(abs(float(r.values[0])), abs(float(r.values[-1])))  # the values decrease
     if top == 0.0:
         return 0.0
-    phi = np.cumsum(r.masses)  # the bounds, then phi at each
-    np.power(np.log2(np.divide(2.0, phi, out=phi), out=phi), 1.0 - p, out=phi)
-    np.power(np.divide(vals, top, out=vals), p, out=vals)
-    # phi turns into its differences (phi(0+) = 0) a block at a time, from the top down, so
-    # each block still reads the phi below it; NumPy copies only the block it overlaps
-    for hi in range(phi.size, 1, -_LORENTZ_BLOCK):
-        lo = max(hi - _LORENTZ_BLOCK, 1)
-        np.subtract(phi[lo:hi], phi[lo - 1 : hi - 1], out=phi[lo:hi])
-    vals *= phi
-    return top * float(np.sum(vals)) ** (1.0 / p)
+    phi, dphi = block_buffer(r.values.size), block_buffer(r.values.size)
+    below = 0.0  # phi at the bound below the block
+    total = 0.0
+    for lo, hi, block in r.bound_blocks(phi):
+        np.power(np.log2(np.divide(2.0, block, out=block), out=block), 1.0 - p, out=block)
+        d = dphi[: hi - lo]
+        d[0] = block[0] - below
+        np.subtract(block[1:], block[:-1], out=d[1:])
+        below = float(block[-1])
+        vals = np.abs(r.values[lo:hi], out=block)
+        np.power(np.divide(vals, top, out=vals), p, out=vals)
+        vals *= d
+        total += float(vals.sum())
+    return top * total ** (1.0 / p)
 
 
 @dataclass(frozen=True)

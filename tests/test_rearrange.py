@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from chaoslab.chaos import eval_decoupled, eval_undecoupled
 from chaoslab.dyadic import StepFunction1D, StepFunction2D, materialize_1d
 from chaoslab.rearrange import (
+    BLOCK,
     VALUE_SNAP,
+    Distribution,
     Rearrangement,
     distribution,
     equimeasurable,
@@ -94,6 +96,33 @@ class TestDistribution:
         x = eval_undecoupled(np.ones((4, 4)) - np.eye(4))
         d = distribution(x)
         assert np.all(np.diff(d.measure_above) <= 0)
+
+    @pytest.mark.parametrize("law", ["ties", "distinct"])
+    def test_bit_identical_to_the_concatenated_form(self, law):
+        # measure_above is written back to front into one buffer; the bits are those of
+        # reversing [0, cumsum(masses[:-1])], on a law of 3 blocks and more
+        rng = np.random.Generator(np.random.Philox(key=24))
+        if law == "ties":
+            x = eval_decoupled(rng.integers(-2, 3, (8, 9)).astype(float))
+        else:
+            x = StepFunction1D(n=15, values=rng.standard_normal(2**15))
+        r = rearrangement(x)
+        assert (r.values.size > 3 * BLOCK) == (law == "distinct")
+        d = distribution(x)
+        above = np.concatenate([[0.0], np.cumsum(r.masses[:-1])])
+        assert d.thresholds.tobytes() == r.values[::-1].tobytes()
+        assert d.measure_above.tobytes() == above[::-1].tobytes()
+        assert d.thresholds.flags.c_contiguous and d.measure_above.flags.c_contiguous
+
+    @pytest.mark.parametrize("thresholds, above", [
+        ([1.0, 1.0], [0.5, 0.0]),
+        ([2.0, 1.0], [0.5, 0.0]),
+        ([1.0, math.nan], [0.5, 0.0]),
+        ([1.0, 2.0], [0.0, 0.5]),
+    ], ids=["tie", "decreasing", "nan", "rising-mass"])
+    def test_validation(self, thresholds, above):
+        with pytest.raises(ValueError):
+            Distribution(thresholds=np.array(thresholds), measure_above=np.array(above))
 
 
 class TestRearrangement:
@@ -236,7 +265,7 @@ class TestSnapMerge:
         assert r.values.size == 24 + 14  # the chain splits into steps of 3, 3, ..., 1
 
     def test_distinct_law_across_drop_blocks(self):
-        # 2^15 distinct Gaussian atoms span the 2^14 drop-block seam; each is its own step
+        # 2^15 distinct Gaussian atoms span the drop test's block seams; each is its own step
         rng = np.random.Generator(np.random.Philox(key=23))
         x = StepFunction1D(n=15, values=rng.standard_normal(2**15))
         values, masses = anchor_merge_oracle(x)
@@ -260,8 +289,8 @@ class TestSnapMerge:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_runs_across_drop_blocks(self, seed):
-        # 2^15 atoms: drops are cut in blocks of 2^14 sorted values, and a sub-VALUE_SNAP
-        # chain with exact ties (steps 0, 0.3 or 0.9 VALUE_SNAP) spans the seam between them
+        # 2^15 atoms: drops are cut in blocks of BLOCK sorted values, and a sub-VALUE_SNAP
+        # chain with exact ties (steps 0, 0.3 or 0.9 VALUE_SNAP) spans the seams between them
         rng = np.random.default_rng(seed)
         steps = rng.choice([0.0, 0.3, 0.9], 12000) * VALUE_SNAP
         vals = np.concatenate([np.full(10000, 3.0), 2.0 + np.cumsum(steps), np.ones(2**15 - 22000)])

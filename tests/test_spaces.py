@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from chaoslab.chaos import eval_decoupled
 from chaoslab.dyadic import StepFunction1D, materialize_1d
 from chaoslab import spaces
-from chaoslab.rearrange import Rearrangement, rearrangement
+from chaoslab.rearrange import BLOCK, Rearrangement, rearrangement
 from chaoslab.spaces import (
     SpaceSpec,
     _orlicz_root,
@@ -56,6 +56,21 @@ def tied_step_functions(draw):
 CONCAVE_WEIGHTS = st.one_of(
     st.floats(0.01, 0.49).map(phi_eps), st.just(lambda t: np.asarray(t, dtype=np.float64))
 )
+
+
+SLACK = 4096  # bytes of the interpreter's own small objects
+
+
+def traced_peak(fn):
+    """tracemalloc's peak over one call of ``fn``, after a first call that may build lazy state."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def one_copy_check(fn, arg):
@@ -422,7 +437,8 @@ class TestOrlicz:
         r = rearrangement(eval_decoupled(np.random.default_rng(seed).standard_normal((10, 10))))
         assert r.values.size > 2**17
         e = math.frexp(float(r.values[0]))[1]
-        s, steps = _orlicz_root(np.ldexp(r.values, -e), r.masses, 1e-10)
+        # the full-law Newton walks over 16 blocks, each scaled by 2^-e into a buffer as it is read
+        s, steps = _orlicz_root(r.values, r.masses, e, 1e-10)
         assert steps <= 3
         assert math.ldexp(1.0 / s, e) == orlicz_exp_norm(r)
 
@@ -552,9 +568,11 @@ class TestLorentz:
         with pytest.raises(ValueError):
             lorentz_norm(char_rearrangement(1.0), 2.5)
 
-    @pytest.mark.parametrize("steps", [1, 2, 2**14, 2**14 + 1, 2**15 + 3])
+    @pytest.mark.parametrize(
+        "steps", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2**14, 2**14 + 1, 2**15 + 3]
+    )
     def test_blocks_match_one_pass(self, steps):
-        # the phi differences go in blocks of 2^14 steps; the sum is the one-pass formula's
+        # the one-pass terms, summed a block of BLOCK steps at a time and the block sums in turn
         rng = np.random.Generator(np.random.Philox(key=36))
         values = np.sort(rng.uniform(0.5, 3.0, steps))[::-1].copy()
         r = Rearrangement(values=values, masses=rng.uniform(0.5, 1.0, steps) / steps)
@@ -562,7 +580,10 @@ class TestLorentz:
         phi = np.log2(2.0 / r.bounds) ** (1.0 - p)
         top = values[0]
         powered = (values / top) ** p * np.diff(phi, prepend=0.0)
-        assert lorentz_norm(r, p) == top * float(np.sum(powered)) ** (1.0 / p)
+        total = 0.0
+        for lo in range(0, steps, BLOCK):
+            total += float(np.sum(powered[lo : lo + BLOCK]))
+        assert lorentz_norm(r, p) == top * total ** (1.0 / p)
 
 
 class TestNormProperties:
@@ -598,22 +619,10 @@ class TestNormProperties:
 class TestLawLayerMemory:
     """tracemalloc peaks on a 2^16-atom law of distinct values, in multiples of its bytes."""
 
-    SLACK = 4096  # bytes of the interpreter's own small objects
-
     @pytest.fixture(scope="class")
     def law(self):
         rng = np.random.Generator(np.random.Philox(key=37))
         return StepFunction1D(n=16, values=rng.standard_normal(2**16))
-
-    def _peak(self, fn):
-        fn()  # the first call may build lazy state
-        tracemalloc.start()
-        try:
-            fn()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak
 
     @pytest.mark.parametrize("name, budget", [
         ("rearrangement", 2.25),  # the sort buffer kept as the values, and the masses
@@ -629,7 +638,172 @@ class TestLawLayerMemory:
             "lorentz_norm": lambda: lorentz_norm(r, 1.5),
             "marcinkiewicz_norm": lambda: marcinkiewicz_norm(r, phi_eps(0.25)),
         }[name]
-        assert self._peak(fn) <= budget * law.values.nbytes + self.SLACK
+        assert traced_peak(fn) <= budget * law.values.nbytes + SLACK
+
+
+SEAM_STEPS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5]
+
+
+@st.composite
+def seam_laws(draw):
+    """Laws whose step counts straddle the block seams, with one weight broadcast over the
+    steps (as ``rearrangement`` gives a law of distinct values) or drawn masses, scaled by
+    2^-1000, 1 or 2^1000, sometimes with a last value of 0."""
+    steps = draw(st.sampled_from(SEAM_STEPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = 1.0 + np.cumsum(rng.uniform(0.5, 1.5, steps))[::-1] / steps
+    if steps > 1 and draw(st.booleans()):
+        values[-1] = 0.0
+    if draw(st.booleans()):
+        masses = np.broadcast_to(1.0 / steps, steps)
+    else:
+        masses = rng.uniform(0.5, 1.5, steps) / steps
+    scale = draw(st.sampled_from([-1000, 0, 1000]))
+    return Rearrangement(values=np.ldexp(values, scale), masses=masses)
+
+
+def one_pass_orlicz(r):
+    """Newton on log J over the whole law at once, from the smallest cap log1p((e-1)/M_k)/v_k."""
+    e = math.frexp(float(r.values[0]))[1]
+    v, m = np.ldexp(r.values, -e), np.asarray(r.masses)
+    target = math.log(float(np.sum(m)) + E - 1.0)
+    with np.errstate(divide="ignore"):
+        s = float(np.min(np.log1p((E - 1.0) / np.cumsum(m)) / v))
+    for _ in range(100):
+        terms = np.exp(v * s)
+        j = float(np.dot(m, terms))
+        step = (math.log(j) - target) * j / float(np.dot(m, v * terms))
+        s -= step
+        if abs(step) <= 1e-15 * s:
+            break
+    return math.ldexp(1.0 / s, e)
+
+
+def one_pass_lp(x, q):
+    atoms, weight = x.law_atoms()
+    ratios = np.abs(atoms) / float(np.abs(atoms).max())
+    with np.errstate(divide="ignore"):
+        exponents = np.maximum(np.log(ratios) * q, spaces._EXP_FLOOR)
+    return float(np.abs(atoms).max()) * (float(np.sum(np.exp(exponents))) * weight) ** (1.0 / q)
+
+
+def one_pass_exp_moment(x, u):
+    atoms, weight = x.law_atoms()
+    exponents = np.abs(atoms) * u + math.log(weight)
+    peak = float(exponents.max())
+    exponents = np.maximum(exponents - peak, spaces._EXP_FLOOR)
+    return math.exp(peak + math.log(float(np.sum(np.exp(exponents))))) - 1.0
+
+
+@st.composite
+def seam_step_functions(draw):
+    """Step functions whose law atoms straddle the block seams: 1-D laws of 1 to 4 blocks, and
+    decoupled chaos whose representative quarter has rows narrower or wider than a block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.sampled_from([-1000, 0, 1000]))
+    if draw(st.booleans()):
+        bits = draw(st.sampled_from([0, 12, 13, 14, 15]))
+        return StepFunction1D(n=bits, values=np.ldexp(rng.standard_normal(2**bits), k))
+    shape = draw(st.sampled_from([(2, 15), (15, 2), (7, 8), (8, 8), (3, 13)]))
+    return eval_decoupled(np.ldexp(rng.standard_normal(shape), k))
+
+
+class TestBlockedNorms:
+    """Each norm walks its law in blocks of BLOCK elements; against the one-pass formulas."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seam_laws())
+    def test_rearrangement_norms_match_one_pass(self, r):
+        bounds = r.bounds
+        assert orlicz_exp_norm(r, 1e-15) == pytest.approx(one_pass_orlicz(r), rel=1e-13, abs=0)
+        phi = np.log2(2.0 / bounds) ** (1.0 - 1.5)
+        top = float(r.values[0])
+        powered = (r.values / top) ** 1.5 * np.diff(phi, prepend=0.0)
+        want = top * float(np.sum(powered)) ** (1.0 / 1.5)
+        assert lorentz_norm(r, 1.5) == pytest.approx(want, rel=1e-13, abs=0)
+        # the sups take the max of the same elements as one pass: equal, bit for bit
+        assert quasinorm_phi_eps(r, 0.25) == float(np.max(r.values * np.log2(2.0 / bounds) ** -0.25))
+        weight = phi_eps(0.25)
+        want = float(np.max(np.cumsum(r.values * r.masses) / weight(bounds)))
+        assert marcinkiewicz_norm(r, weight) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(seam_laws())
+    def test_blocked_bounds_equal_one_cumsum(self, r):
+        buf = np.empty(BLOCK)
+        blocks = [(lo, hi, b.copy()) for lo, hi, b in r.bound_blocks(buf)]
+        assert [(lo, hi) for lo, hi, _ in blocks] == [
+            (lo, min(lo + BLOCK, r.values.size)) for lo in range(0, r.values.size, BLOCK)
+        ]
+        assert np.concatenate([b for _, _, b in blocks]).tobytes() == np.cumsum(r.masses).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seam_step_functions(), st.sampled_from([1.0, 4.0, 400.0]), st.floats(0.5, 3.0))
+    def test_atom_norms_match_one_pass(self, x, q, c):
+        want = one_pass_lp(x, q)
+        assert lp_norm(x, q) == pytest.approx(want, rel=1e-13, abs=0)
+        assert lp_norm(x, math.inf) == float(np.abs(x.law_atoms()[0]).max())
+        u = c / float(np.abs(x.law_atoms()[0]).max())  # u max|x| = c at any scale
+        assert exp_moment(x, u) == pytest.approx(one_pass_exp_moment(x, u), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("values, lp, lp_inf, moment", [
+        ([1.0, math.nan, -2.0, 0.5], math.nan, math.nan, math.nan),
+        ([1.0, math.inf, -2.0, 0.5], math.nan, math.inf, math.nan),
+        ([1.0, -math.inf, -2.0, 0.5], math.nan, math.inf, math.nan),
+        ([math.nan, math.inf, 1.0, 0.0], math.nan, math.nan, math.nan),
+        ([0.0, 0.0, 0.0, 0.0], 0.0, 0.0, 0.0),
+        ([-0.0, -0.0, -0.0, -0.0], 0.0, 0.0, 0.0),
+        ([0.0, -0.0, 0.0, -0.0], 0.0, 0.0, 0.0),
+    ], ids=["nan", "inf", "minus-inf", "nan-and-inf", "zeros", "minus-zeros", "mixed-zeros"])
+    @pytest.mark.parametrize("spread", [False, True], ids=["one-block", "across-blocks"])
+    def test_special_atoms_as_before(self, values, lp, lp_inf, moment, spread):
+        # top is max(atoms.max(), -atoms.min()), not from an |x| copy; the results are those
+        # the |x| copy gave: NaN, +inf at q = inf, and +0.0 for a law of zeros
+        atoms = np.repeat(values, BLOCK if spread else 1)  # spread: each value fills a block
+        x = StepFunction1D(n=int(math.log2(atoms.size)), values=atoms)
+        with np.errstate(invalid="ignore"):
+            got = [lp_norm(x, 1), lp_norm(x, 4), lp_norm(x, math.inf), exp_moment(x, 0.5)]
+        for value, want in zip(got, [lp, lp, lp_inf, moment]):
+            if math.isnan(want):
+                assert math.isnan(value)
+            else:
+                assert value == want and math.copysign(1.0, value) == 1.0
+
+    STEPS = 2**18
+    GROUPS = STEPS // spaces._ORLICZ_GROUP
+    # four block buffers and eight arrays of one double per 64-step group (Orlicz's coarse law),
+    # where one copy of the law alone is 2 MiB
+    BUDGET = 4 * BLOCK * 8 + 8 * GROUPS * 8 + SLACK
+
+    @pytest.fixture(scope="class")
+    def gaussian(self):
+        rng = np.random.Generator(np.random.Philox(key=38))
+        return StepFunction1D(n=18, values=rng.standard_normal(self.STEPS))
+
+    @pytest.mark.parametrize("name", [
+        "lp_norm", "exp_moment", "orlicz_exp_norm", "lorentz_norm",
+        "marcinkiewicz_norm", "quasinorm_phi_eps",
+    ])
+    def test_norms_peak_at_a_few_blocks(self, gaussian, name):
+        r = rearrangement(gaussian)
+        assert r.values.size == self.STEPS
+        fn = {
+            "lp_norm": lambda: lp_norm(gaussian, 4.0),
+            "exp_moment": lambda: exp_moment(gaussian, 0.5),
+            "orlicz_exp_norm": lambda: orlicz_exp_norm(r),
+            "lorentz_norm": lambda: lorentz_norm(r, 1.5),
+            "marcinkiewicz_norm": lambda: marcinkiewicz_norm(r, phi_eps(0.25)),
+            "quasinorm_phi_eps": lambda: quasinorm_phi_eps(r, 0.25),
+        }[name]
+        assert traced_peak(fn) <= self.BUDGET
+
+    def test_distinct_law_rearranges_into_one_array(self, gaussian):
+        # the sort buffer becomes the values; the masses are one weight broadcast, read-only
+        peak = traced_peak(lambda: rearrangement(gaussian))
+        assert peak <= gaussian.values.nbytes + 2 * BLOCK * 8 + SLACK
+        r = rearrangement(gaussian)
+        assert r.masses.strides == (0,) and not r.masses.flags.writeable
+        assert np.all(r.masses == gaussian.atom_measure)
 
 
 class TestParseSpace:
