@@ -13,14 +13,16 @@ coefficients, so genuinely distinct values never collide.
 
 Work on a law goes ``BLOCK`` elements at a time through one or two block
 buffers, so past the sort buffer no array as long as the law is allocated:
-the drop test of the sort, and the bounds (cumulative masses) that the norms
-in ``spaces`` read through ``Rearrangement.bound_blocks``.  ``BLOCK`` doubles
-fill 64 KiB, half of glibc's default 128 KiB mmap threshold, so a block
-buffer comes from the heap and reuses its pages instead of faulting in fresh
-ones on every call.  A law of one atom per step keeps its one weight as a
-read-only broadcast view.  The log-log tail measure ``log_distribution_L``
-is the one numerical value here: a fixed 160-node Gauss-Legendre rule, with
-no tolerance to set.
+the drop test of the sort, the value gaps of ``equimeasurable``, and the
+bounds (cumulative masses) that the norms in ``spaces`` read through
+``Rearrangement.bound_blocks``.  ``BLOCK`` doubles fill 64 KiB, half of
+glibc's default 128 KiB mmap threshold, so a block buffer comes from the heap
+and reuses its pages instead of faulting in fresh ones on every call.  A law
+of one atom per step keeps its one weight as a read-only broadcast view; that
+weight is a power of two w, so bound k is (k + 1) w in closed form, bit for
+bit the cumsum, and only other masses are summed.  The log-log tail measure
+``log_distribution_L`` is the one numerical value here: a fixed 160-node
+Gauss-Legendre rule, with no tolerance to set.
 """
 
 from __future__ import annotations
@@ -64,20 +66,44 @@ class Rearrangement:
         if not self.masses.min() > 0:
             raise ValueError("masses must be positive")
 
+    def _power_of_two_weight(self) -> float | None:
+        """The one weight w broadcast over every step (stride 0) when w is a power of two, else
+        None.  Then bound k is exactly (k + 1) w: each partial sum of the cumsum is an integer
+        below 2^53 times w, so no addition rounds (and one that overflows gives inf either way)."""
+        if self.masses.strides[0] != 0:
+            return None
+        w = float(self.masses[0])
+        return w if math.frexp(w)[0] == 0.5 else None
+
     @property
     def bounds(self) -> np.ndarray:
-        """Right endpoints of the steps (cumulative masses)."""
-        return np.cumsum(self.masses)
+        """Right endpoints of the steps (cumulative masses), in closed form as in ``bound_blocks``."""
+        w = self._power_of_two_weight()
+        if w is None:
+            return np.cumsum(self.masses)
+        bounds = np.arange(1.0, self.values.size + 1.0)
+        bounds *= w
+        return bounds
 
     def bound_blocks(self, buf: np.ndarray):
         """Yield (lo, hi, bounds[lo:hi]) for blocks of ``BLOCK`` steps, each written in ``buf``,
-        which the caller may then overwrite: the bounds of ``bounds``, bit for bit."""
+        which the caller may then overwrite: the bounds of ``bounds``, bit for bit.  One
+        power-of-two weight w broadcast over the steps gives each block as (counts + lo) w,
+        ``counts`` being 1..BLOCK, made once per call (a module constant would stay resident
+        in every process); other masses are summed, carrying the blocks before."""
+        w = self._power_of_two_weight()
+        if w is not None:
+            counts = np.arange(1.0, min(BLOCK, self.values.size) + 1.0)
         carry = 0.0
         for lo in range(0, self.values.size, BLOCK):
             hi = min(lo + BLOCK, self.values.size)
             block = buf[: hi - lo]
-            np.copyto(block, self.masses[lo:hi])
-            carry = carry_cumsum(block, carry)
+            if w is None:
+                np.copyto(block, self.masses[lo:hi])
+                carry = carry_cumsum(block, carry)
+            else:
+                np.add(counts[: hi - lo], lo, out=block)
+                block *= w
             yield lo, hi, block
 
     @property
@@ -86,11 +112,11 @@ class Rearrangement:
 
     def at(self, t: float) -> float:
         """Left-continuous evaluation x*(t) for t in (0, M]."""
-        if not 0.0 < t <= self.bounds[-1] + 1e-15:
-            raise ValueError(f"t={t} outside (0, {self.bounds[-1]:g}]")
-        k = int(np.searchsorted(self.bounds, t, side="left"))
-        k = min(k, self.values.size - 1)
-        return float(self.values[k])
+        bounds = self.bounds
+        if not 0.0 < t <= bounds[-1] + 1e-15:
+            raise ValueError(f"t={t} outside (0, {bounds[-1]:g}]")
+        k = int(np.searchsorted(bounds, t, side="left"))
+        return float(self.values[min(k, self.values.size - 1)])
 
     def integral(self) -> float:
         return float(np.dot(self.values, self.masses))
@@ -233,13 +259,23 @@ def equimeasurable(x: StepFunction, y: StepFunction) -> bool:
     """True iff |x| and |y| have identical distribution functions.
 
     Values are compared after the snap merge; masses are exact dyadic
-    rationals and must match exactly.
+    rationals and must match exactly.  Both go a block at a time, the value
+    gaps through one block buffer, so past the two sorts no array as long as
+    the law is allocated.
     """
     vx, mx = _sorted_steps(x)
     vy, my = _sorted_steps(y)
     if vx.size != vy.size:
         return False
-    return bool(np.all(np.abs(vx - vy) <= VALUE_SNAP) and np.array_equal(mx, my))
+    buf = block_buffer(vx.size)
+    for lo in range(0, vx.size, BLOCK):
+        hi = min(lo + BLOCK, vx.size)
+        gap = np.subtract(vx[lo:hi], vy[lo:hi], out=buf[: hi - lo])
+        if not (np.abs(gap, out=gap) <= VALUE_SNAP).all():
+            return False
+        if not np.array_equal(mx[lo:hi], my[lo:hi]):
+            return False
+    return True
 
 
 @functools.cache

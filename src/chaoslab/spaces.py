@@ -13,7 +13,11 @@ the atoms of ``law_atoms`` (``lp_norm``, ``exp_moment``), or the steps of a
 ``Rearrangement`` with their bounds from ``Rearrangement.bound_blocks``.  The
 arithmetic on each element is that of the one-pass formula; only sums over
 the whole law (``np.sum``, ``np.dot``) add block by block.  Cumulative sums
-carry the previous block's total, so they are bit for bit the one-pass ones.
+carry the previous block's total, so they are bit for bit the one-pass ones,
+and bounds over one power-of-two weight are exact in closed form.  The
+sup-form quasi-norm skips each block whose cap, its first value times the
+weight at its last bound with a slack far above rounding, lies below the best
+block max so far: the max it returns is that of every product.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ _ORLICZ_GROUP = 64  # steps per point of the coarse law that gives Newton its st
 # a sum that holds exp(0) = 1 loses nothing when its exponents are clamped here, as 2^26
 # atoms of e^-700 lie far below one ulp of 1
 _EXP_FLOOR = -700.0
+_CAP_SLACK = 1.0 + 2.0**-40  # on a block cap of quasinorm_phi_eps: ~2^12 ulps of rounding room
 
 
 def _sum_exp(exponents: np.ndarray, lowest: float = -math.inf) -> float:
@@ -247,20 +252,40 @@ def phi_eps(eps: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def quasinorm_phi_eps(r: Rearrangement, eps: float) -> float:
-    """Exact sup of x*(u) * log2(2/u)^(eps - 1/2) over u in (0, 1].
+    """Exact sup of x*(u) * g(u) over u in (0, 1], g(u) = log2(2/u)^(eps - 1/2).
 
-    The weight increases in u while x* is a decreasing step, so the sup is
+    The weight g increases in u while x* is a decreasing step, so the sup is
     attained at a step's right endpoint; evaluating there is exact.  Each block
-    of bounds is worked in place.
+    of bounds is worked in place.  On the block of steps [lo, hi) every product
+    is at most values[lo] * g(bounds[hi - 1]); taken by scalar ``math`` calls
+    and times ``_CAP_SLACK``, far above the few-ulp error of NumPy's log2 and
+    pow and one rounding of the product, a cap below the best block max so far
+    skips the block, whose max can only be lower.  So the result is the max of
+    every product, bit for bit; a skipped block's max stays -inf, so a NaN
+    product, as for u > 2 when the total mass exceeds 2, still gives NaN.
     """
     if not 0.0 < eps < 0.5:
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
-    peaks = np.empty(len(range(0, r.values.size, BLOCK)))  # the max of each block
+    power = eps - 0.5
+    peaks = np.full(len(range(0, r.values.size, BLOCK)), -math.inf)  # the max of each block
+    best = -math.inf  # of the peaks that are not NaN
     for lo, hi, weights in r.bound_blocks(block_buffer(r.values.size)):
-        np.power(np.log2(np.divide(2.0, weights, out=weights), out=weights), eps - 0.5, out=weights)
+        # a negative first value makes every product of the block negative, so 0 caps them
+        cap = max(float(r.values[lo]), 0.0) * _weight_cap(float(weights[-1]), power)
+        if cap * _CAP_SLACK < best:
+            continue
+        np.power(np.log2(np.divide(2.0, weights, out=weights), out=weights), power, out=weights)
         weights *= r.values[lo:hi]
-        peaks[lo // BLOCK] = weights.max()
+        peaks[lo // BLOCK] = peak = weights.max()
+        best = max(best, peak)
     return float(peaks.max())
+
+
+def _weight_cap(bound: float, power: float) -> float:
+    """log2(2/bound)^power by scalar ``math`` calls, or inf where log2(2/bound) <= 0 (there
+    NumPy gives inf or NaN, and ``math`` raises)."""
+    q = 2.0 / bound
+    return math.pow(math.log2(q), power) if q > 1.0 else math.inf
 
 
 def lorentz_norm(r: Rearrangement, p: float) -> float:

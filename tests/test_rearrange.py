@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -165,6 +166,27 @@ class TestRearrangement:
             r.integral(), float(np.abs(x.values).mean()), rel_tol=1e-13
         )
 
+    @pytest.mark.parametrize("kind", ["distinct", "tied", "tenth"])
+    def test_at_and_bounds_agree_with_one_cumsum(self, kind):
+        # a law of distinct values has one power-of-two weight broadcast, and its bounds take
+        # the closed form; tied atoms, and a broadcast weight of 0.1, take the cumsum
+        rng = np.random.Generator(np.random.Philox(key=24))
+        if kind == "tenth":
+            r = Rearrangement(values=np.linspace(2.0, 1.0, 10), masses=np.broadcast_to(0.1, 10))
+        else:
+            values = rng.standard_normal(2**15)
+            r = rearrangement(StepFunction1D(n=15, values=values if kind == "distinct" else np.round(8 * values)))
+        assert (r._power_of_two_weight() is not None) == (kind == "distinct")
+        cumsum = np.cumsum(r.masses)
+        assert r.bounds.tobytes() == cumsum.tobytes()
+        picks = cumsum[:: max(1, cumsum.size // 50)]
+        ts = np.concatenate([picks, np.nextafter(picks, 0.0), np.nextafter(picks, 2.0), rng.uniform(0.0, 1.0, 50)])
+        for t in ts[(ts > 0.0) & (ts <= cumsum[-1])].tolist() + [float(cumsum[-1])]:
+            k = min(int(np.searchsorted(cumsum, t, side="left")), r.values.size - 1)
+            assert r.at(t) == r.values[k]
+        with pytest.raises(ValueError):
+            r.at(float(cumsum[-1]) + 1e-9)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Rearrangement(values=np.array([1.0, 2.0]), masses=np.array([0.5, 0.5]))
@@ -210,6 +232,54 @@ class TestEquimeasurable:
     def test_across_generations(self):
         fine = materialize_1d([1.0, 0.0, 0.0])
         assert equimeasurable(materialize_1d([1.0]), fine)
+
+    @staticmethod
+    def one_pass(x, y):
+        """The whole-law comparison: value gaps within VALUE_SNAP and masses equal."""
+        rx, ry = rearrangement(x), rearrangement(y)
+        return rx.values.size == ry.values.size and bool(
+            np.all(np.abs(rx.values - ry.values) <= VALUE_SNAP) and np.array_equal(rx.masses, ry.masses)
+        )
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("permuted", True),
+        ("nudged-within-snap", True),
+        ("nudged-past-snap", False),
+        ("tied-permuted", True),
+        ("tied-atom-moved", False),
+    ])
+    def test_across_blocks_as_one_pass(self, kind, expected):
+        # 2^15 atoms, distinct (four blocks of steps) or each value twice (two blocks); the
+        # change sits at the smallest values, in the last block
+        rng = np.random.Generator(np.random.Philox(key=26))
+        if kind.startswith("tied"):
+            values = rng.permutation(np.repeat(rng.standard_normal(2**14), 2))
+        else:
+            values = rng.standard_normal(2**15)
+        other = rng.permutation(values) * rng.choice([-1.0, 1.0], values.size)
+        order = np.argsort(np.abs(other))
+        if kind.startswith("nudged"):
+            other[order[0]] += math.copysign((0.5 if kind == "nudged-within-snap" else 2.0) * VALUE_SNAP, other[order[0]])
+        if kind == "tied-atom-moved":  # a step of 2 atoms loses one to the step above it
+            other[order[0]] = other[order[2]]
+        x, y = StepFunction1D(n=15, values=values), StepFunction1D(n=15, values=other)
+        assert equimeasurable(x, y) == self.one_pass(x, y) == expected
+
+    def test_peak_is_the_two_sorts_and_a_block(self):
+        # both sort buffers are kept as the values of a distinct law; the gaps go through one
+        # block buffer, where the whole-law comparison held 4 law sizes
+        rng = np.random.Generator(np.random.Philox(key=27))
+        values = rng.standard_normal(2**16)
+        x = StepFunction1D(n=16, values=values)
+        y = StepFunction1D(n=16, values=values[rng.permutation(values.size)])
+        equimeasurable(x, y)
+        tracemalloc.start()
+        try:
+            assert equimeasurable(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * values.nbytes + 2 * BLOCK * 8 + 4096
 
 
 class TestSnapMerge:

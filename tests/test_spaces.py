@@ -537,6 +537,19 @@ class TestQuasinorm:
         with pytest.raises(ValueError):
             quasinorm_phi_eps(char_rearrangement(1.0), 0.6)
 
+    @pytest.mark.parametrize("weight", [2.0**-15, 2.0**-14], ids=["M=0.75", "M=1.5"])
+    def test_block_max_above_a_lower_block_start(self, weight):
+        # values nearly flat within each of three blocks, 5% lower in the second and half in the
+        # third: the second block starts below the first block's max and ends above it, so its
+        # cap must be taken at its last bound
+        steps = 3 * BLOCK
+        falls = 1.0 - np.arange(steps) / steps
+        values = (1.0 + np.ldexp(falls, -30)) * np.repeat([1.0, 0.95, 0.5], BLOCK)
+        r = Rearrangement(values=values, masses=np.broadcast_to(weight, steps))
+        products = values * np.power(np.log2(2.0 / r.bounds), -0.25)
+        assert products[BLOCK] < products[:BLOCK].max() < products[2 * BLOCK - 1] == products.max()
+        assert quasinorm_phi_eps(r, 0.25) == products.max()
+
 
 class TestLorentz:
     def test_constant(self):
@@ -708,6 +721,38 @@ def seam_step_functions(draw):
     return eval_decoupled(np.ldexp(rng.standard_normal(shape), k))
 
 
+@st.composite
+def sup_laws(draw):
+    """Laws for the pruned sup-form quasi-norm, at the block seams: values falling by 2^20 put
+    the max early, nearly flat values put it in the last block, where the rising weight wins,
+    and a staircase of nearly flat runs, each 2^-0.01 below the one before, makes block maxima
+    that lie inside their blocks and above products at the block's start;
+    masses are one power-of-two weight, drawn, or whole multiples of a weight (tied atoms), and
+    total M in [1/2, 1], [1, 2) or [4, 8), where bounds above 2 give NaN; scaled by 2^-1000, 1
+    or 2^1000, sometimes with a last value of 0."""
+    steps = draw(st.sampled_from(SEAM_STEPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    falls = 1.0 - np.arange(steps) / steps
+    profile = draw(st.sampled_from(["falling", "flat", "staircase"]))
+    if profile == "falling":
+        values = np.exp2(20.0 * falls)
+    else:
+        values = 1.0 + np.ldexp(falls, -30)
+    if profile == "staircase":
+        values *= np.exp2(-0.01 * (np.arange(steps) // draw(st.integers(500, 5000))))
+    if steps > 1 and draw(st.booleans()):
+        values[-1] = 0.0
+    # steps * 2^k lies in [1, 2) at the middle k
+    k = draw(st.sampled_from([-1, 0, 2])) - math.floor(math.log2(steps))
+    masses = draw(st.sampled_from([
+        np.broadcast_to(2.0**k, steps),
+        np.ldexp(rng.uniform(0.5, 1.5, steps), k),
+        np.ldexp(rng.integers(1, 4, steps) / 2.0, k),
+    ]))
+    scale = draw(st.sampled_from([-1000, 0, 1000]))
+    return Rearrangement(values=np.ldexp(values, scale), masses=masses)
+
+
 class TestBlockedNorms:
     """Each norm walks its law in blocks of BLOCK elements; against the one-pass formulas."""
 
@@ -736,6 +781,38 @@ class TestBlockedNorms:
             (lo, min(lo + BLOCK, r.values.size)) for lo in range(0, r.values.size, BLOCK)
         ]
         assert np.concatenate([b for _, _, b in blocks]).tobytes() == np.cumsum(r.masses).tobytes()
+
+    @pytest.mark.parametrize("steps", SEAM_STEPS)
+    @pytest.mark.parametrize("weight", [2.0**-14, 2.0**-1074, 2.0**1023, 0.1, 3 * 2.0**-20, None],
+                             ids=["2^-14", "2^-1074", "2^1023", "0.1", "3*2^-20", "contiguous"])
+    def test_closed_form_bounds_equal_one_cumsum(self, steps, weight):
+        # one power-of-two weight broadcast over the steps takes the closed form (k + 1) w, even
+        # when subnormal or overflowing to inf; other weights and contiguous masses are summed
+        if weight is None:
+            masses = np.random.default_rng(steps).uniform(0.5, 1.5, steps) / steps
+        else:
+            masses = np.broadcast_to(weight, steps)
+        r = Rearrangement(values=np.linspace(2.0, 1.0, steps), masses=masses)
+        closed = weight is not None and math.frexp(weight)[0] == 0.5
+        assert r._power_of_two_weight() == (weight if closed else None)
+        with np.errstate(over="ignore"):
+            want = np.cumsum(r.masses).tobytes()
+            blocks = [b.copy() for _, _, b in r.bound_blocks(np.empty(BLOCK))]
+            assert np.concatenate(blocks).tobytes() == want
+            assert r.bounds.tobytes() == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(sup_laws(), st.floats(0.01, 0.49))
+    def test_pruned_sup_equals_one_pass(self, r, eps):
+        # blocks whose cap lies below the best block max are skipped; the max is unchanged
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            bounds = np.cumsum(r.masses)
+            want = float(np.max(r.values * np.power(np.log2(2.0 / bounds), eps - 0.5)))
+            got = quasinorm_phi_eps(r, eps)
+        if bounds[-1] > 2.0:
+            assert math.isnan(got) and math.isnan(want)
+        else:
+            assert got == want
 
     @settings(max_examples=40, deadline=None)
     @given(seam_step_functions(), st.sampled_from([1.0, 4.0, 400.0]), st.floats(0.5, 3.0))
