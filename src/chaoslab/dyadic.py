@@ -10,7 +10,8 @@ The k-th Rademacher function equals ``+1`` on cells whose k-th digit is 0 and
 by a sign-vector bitmask: bit ``i-1`` of the mask holds the i-th digit, so a
 set bit means ``r_i = -1`` there.  All atoms of a generation carry equal
 weight, hence masks can be enumerated in any order without touching the distribution.
-``linear_forms`` tabulates eps^T c by doubling, ``quadratic_blocks`` eps^T b eps by splitting eps.
+``linear_forms`` tabulates eps^T c by doubling; ``quadratic_factors`` splits eps to factor eps^T b eps,
+which ``quadratic_blocks`` multiplies out.
 """
 
 from __future__ import annotations
@@ -106,8 +107,15 @@ def dyadic_add(s: DyadicPoint, u: DyadicPoint) -> DyadicPoint:
 
 
 def full_sign_matrix(n: int) -> np.ndarray:
-    """All 2^n sign vectors as a (2^n, n) matrix of +-1 floats, mask order."""
-    return linear_forms(np.eye(n))
+    """All 2^n sign vectors as a (2^n, n) matrix of +-1 floats, mask order, by doubling: rows
+    2^j .. 2^(j+1) - 1 copy the rows below with sign j set to -1."""
+    out = np.empty((2**n, n))
+    out[0] = 1.0
+    for j in range(n):
+        size = 1 << j
+        out[size : 2 * size] = out[:size]
+        out[size : 2 * size, j] = -1.0
+    return out
 
 
 def linear_forms(c) -> np.ndarray:
@@ -121,14 +129,16 @@ def linear_forms(c) -> np.ndarray:
     return out
 
 
-def quadratic_blocks(b, table=None) -> Iterator[np.ndarray]:
-    """eps^T b eps of a square float b over the masks with eps_n = +1, in mask order, in blocks
-    of whole rows of at most ``_CHUNK`` bytes (or one row), computed into ``table`` if given.
+def quadratic_factors(b) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right), whose product is eps^T b eps of a square float b over the masks with
+    eps_n = +1, rows w (w_last = +1) by columns u, in mask order.
 
     With eps = (u, w), u the low h = n // 2 bits, eps^T b eps = u^T b11 u + w^T b22 w
-    + u^T (b12 + b21^T) w, so the (2^(n-h-1), 2^h) table, rows w (w_last = +1) by columns u,
-    is the product of [w, w^T b22 w, 1] and [(b12 + b21^T)^T u; 1; u^T b11 u], factors of
-    rank n - h + 2 from one sign table of 2^(n-h) rows: a block is one matrix product.
+    + u^T (b12 + b21^T) w, so left = [w, w^T b22 w, 1] and right = [(b12 + b21^T)^T u; 1;
+    u^T b11 u], factors of rank n - h + 2 from one sign table of 2^(n-h) rows.  Every term of
+    an entry is exact (a sign times a stored value), so a product that sums an entry's terms
+    in order, as OpenBLAS's gemm does in whole 8-column tiles, gives it bit for bit wherever
+    the entry sits in the product.
     """
     n = b.shape[0]
     h = n // 2
@@ -137,7 +147,16 @@ def quadratic_blocks(b, table=None) -> Iterator[np.ndarray]:
     qw, qu = ((w @ b[h:, h:]) * w).sum(axis=1), ((u @ b[:h, :h]) * u).sum(axis=1)
     left = np.column_stack([w, qw, np.ones_like(qw)])
     right = np.vstack([(u @ (b[:h, h:] + b[h:, :h].T)).T, np.ones_like(qu), qu])
-    rows = max(1, _CHUNK // (8 * 2**h))
+    return left, right
+
+
+def quadratic_blocks(b, table=None) -> Iterator[np.ndarray]:
+    """eps^T b eps of a square float b over the masks with eps_n = +1, in mask order, in blocks
+    of whole rows of at most ``_CHUNK`` bytes (or one row), computed into ``table`` if given:
+    each block is one matrix product of a run of ``quadratic_factors``' left rows and right.
+    """
+    left, right = quadratic_factors(b)
+    rows = max(1, _CHUNK // (right.itemsize * right.shape[1]))
     for start in range(0, left.shape[0], rows):
         yield np.matmul(left[start : start + rows], right,
                         out=None if table is None else table[start : start + rows])

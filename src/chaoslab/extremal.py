@@ -9,6 +9,11 @@ bytes.  One pair kernel, ``_pair_max``, scores every decoupled scan: a real matr
 matrix (whose half sums are small integers, so its tables are int8) and, through
 ``_sign_scan``, stacks of +-1 matrices given as column bitmasks, whose column sums are
 n - 2 popcount(eps ^ c_j); the stacks serve the exhaustive infimum and both averages.
+The undecoupled scan pairs the rows and columns of two factors of eps^T b eps by matrix
+products.  A scan of one matrix over several blocks prunes: both halves sorted by a bound
+on what they add to a score, each block after the first takes only the prefix of partners
+whose bound, with a slack above rounding, can still beat the best score so far, and as
+many rows as fill a block with that prefix (``_staircase``, one rule for both scans).
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chaos import as_coefficient_matrix, eval_decoupled
-from .dyadic import _CHUNK, full_sign_matrix, linear_forms, quadratic_blocks
+from .dyadic import _CHUNK, full_sign_matrix, linear_forms, quadratic_blocks, quadratic_factors
 from .errors import EnumerationCapError
 from .rearrange import rearrangement
 from .spaces import marcinkiewicz_norm, phi_eps, quasinorm_phi_eps
 
 SUP_DECOUPLED_CAP = 30
-SUP_UNDECOUPLED_CAP = 24
+SUP_UNDECOUPLED_CAP = 28
 EXHAUSTIVE_CAP = 7
 EXACT_AVERAGE_CAP = 7
 MONTE_CARLO_CAP = 16
@@ -75,6 +80,42 @@ def _cut_buffer(row: int, itemsize: int) -> int:
     return saved
 
 
+def _staircase(lrows: int, hrows: int, budget: int, bound=None, tile: int = 1, least: int = 1):
+    """Blocks (first, stop, live) of a pair scan: low rows [first, stop) with high rows [0, live).
+
+    A block takes ``budget // live`` low rows, ``least`` at least (a shorter remainder joins
+    the block before it), so it holds about ``budget`` pairs.  Given ``bound`` = (la, hb,
+    slack, best), the low and high rows' score bounds, both sorted descending, and a one-slot
+    array holding the best score so far, the scan prunes: after the first block only the high
+    rows where (la[first] + hb) * slack > best[0] are live, a prefix, rounded up to a multiple
+    of ``tile`` (at most hrows); a block ends at the last low row where (la + hb[0]) * slack
+    > best[0], which pairs with one high row at least; and the scan stops at the first low
+    row that pairs with none, as the rows below score no higher.
+    """
+    first, live, end = 0, hrows, lrows
+    while first < lrows:
+        if bound is not None and first:
+            la, hb, slack, best = bound
+            live = _beating(hb, la[first], slack, best[0])
+            if not live:
+                return
+            live = min(hrows, -(-live // tile) * tile)
+            end = first + _beating(la[first:], hb[0], slack, best[0])
+        stop = first + max(least, min(budget // live, end - first))
+        if stop > lrows - least:
+            stop = lrows
+        yield first, stop, live
+        first = stop
+
+
+def _beating(bounds: np.ndarray, other, slack, best) -> int:
+    """How many of the descending ``bounds`` b have (b + other) * slack > best, a prefix: all
+    of them, without a pass over them, when the last one does."""
+    if (bounds[-1] + other) * slack > best:
+        return bounds.size
+    return int(np.count_nonzero((bounds + other) * slack > best))
+
+
 def _pair_max(low: np.ndarray, high: np.ndarray, n: int | None = None) -> np.ndarray:
     """Per matrix k, the max over pairs (l, g) of sum_j |low[j, k, l] + high[j, k, g]|.
 
@@ -89,14 +130,14 @@ def _pair_max(low: np.ndarray, high: np.ndarray, n: int | None = None) -> np.nda
     cannot wrap (127 // n terms of at most n), and only the run totals are widened to a type
     holding n * columns.
 
-    A lone matrix whose pairs need several blocks is pruned by the bound la[l] + hb[g] on a
-    pair's score, la and hb the l1 norms of the low and high rows, both sorted descending:
-    after the first block, a block pairs only with the high rows where
-    (la[first] + hb) * slack > best, a prefix, and the scan stops at the first empty one; its
-    blocks sum all columns in one call, as a pruned block is short.  Integer tables prune
-    exactly (slack 1).  For real tables with m columns and unit roundoff u, a computed score
-    is at most (1 + u)(1 + g) times the exact la + hb, and the computed (la + hb) * slack at
-    least (1 - g)(1 - u)^2 slack times it, where g = (m - 1) u / (1 - (m - 1) u) bounds a
+    A lone matrix whose pairs need several blocks is pruned by ``_staircase`` with the bound
+    la[l] + hb[g] on a pair's score, la and hb the l1 norms of the low and high rows, both
+    sorted descending: after the first block, a block pairs its low rows only with the high
+    rows where (la[first] + hb) * slack > best, a prefix of at least two rows, and takes as
+    many low rows as fill ``_CHUNK`` bytes with that prefix.  Integer tables prune exactly
+    (slack 1).  For real tables with m columns and unit roundoff u, a computed score is at
+    most (1 + u)(1 + g) times the exact la + hb, and the computed (la + hb) * slack at least
+    (1 - g)(1 - u)^2 slack times it, where g = (m - 1) u / (1 - (m - 1) u) bounds a
     sequential sum; slack = 1 + 4 (m + 2) u exceeds the quotient, 1 + (2m + 1) u to first
     order, so no pruned pair beats best (below 2^-1022 every add is exact).  Kept pairs are
     summed as in a full scan, so the max is bit for bit the same.
@@ -104,7 +145,8 @@ def _pair_max(low: np.ndarray, high: np.ndarray, n: int | None = None) -> np.nda
     cols, count, lrows = low.shape
     hrows = high.shape[2]
     acc_type = float if n is None else np.min_scalar_type(-n * cols - 1)  # holds n * columns
-    fill = max(1, _CHUNK // (cols * low.itemsize * hrows))  # (matrix, low row) pairs a block
+    pairs = max(1, _CHUNK // (cols * low.itemsize))  # (low row, high row) pairs a block
+    fill = max(1, pairs // hrows)  # (matrix, low row) pairs a block
     if count > hrows:  # matrices first, innermost in the tables
         mats = min(count, fill)
         rows = min(lrows, fill // mats)
@@ -112,7 +154,7 @@ def _pair_max(low: np.ndarray, high: np.ndarray, n: int | None = None) -> np.nda
         rows = min(lrows, fill)
         mats = min(count, fill // rows)
     prune = mats == 1 and rows < lrows  # a lone matrix over several blocks
-    step = cols if n is None or prune else 127 // n  # columns summed per reduce
+    step = cols if n is None else 127 // n  # columns summed per reduce
     best = np.zeros(count, dtype=acc_type)
     saved = _cut_buffer(max(mats, hrows), low.itemsize)  # a block's innermost axis
     try:
@@ -121,22 +163,19 @@ def _pair_max(low: np.ndarray, high: np.ndarray, n: int | None = None) -> np.nda
             if mats < hrows:  # blocks follow the tables' memory order: high rows innermost
                 hi = np.ascontiguousarray(hi)
             view = best[start : start + mats]
-            live = hrows
+            bound = None
             if prune:  # sort both tables by row norm
                 la = np.add.reduce(np.abs(lo[:, 0]), axis=0, dtype=acc_type)
                 hb = np.add.reduce(np.abs(hi[:, 0, 0]), axis=0, dtype=acc_type)
                 lorder, horder = np.argsort(la)[::-1], np.argsort(hb)[::-1]
                 # np.take keeps the copies in C order, columns outermost as in the tables
                 lo, hi = np.take(lo, lorder, axis=-1), np.take(hi, horder, axis=-1)
-                la, hb = la[lorder], hb[horder]
                 slack = 1 if n else 1 + 4 * (cols + 2) * np.finfo(acc_type).epsneg
-            for first in range(0, lrows, rows):
-                if prune and first:  # later blocks: only high rows that can still beat best
-                    live = np.count_nonzero((hb + la[first]) * slack > view[0])
-                    if not live:
-                        break
-                # two high rows at least, so NumPy sums a block column by column, not pairwise
-                block = np.add(lo[:, :, first : first + rows, None], hi[..., : max(live, 2)])
+                bound = (la[lorder], hb[horder], slack, view)
+            # two high rows at least, so NumPy sums a block column by column, not pairwise
+            for first, stop, live in _staircase(lrows, hrows, pairs if prune else rows * hrows,
+                                                bound, tile=2):
+                block = np.add(lo[:, :, first:stop, None], hi[..., :live])
                 np.abs(block, out=block)
                 if step < cols:  # widen the first run's total, then add the others
                     scores = np.add.reduce(block[:step], axis=0, dtype=np.int8).astype(acc_type)
@@ -206,15 +245,49 @@ def sup_norm_decoupled(a) -> float:
 def sup_norm_undecoupled(b) -> float:
     """Exact sup norm of sum b_ij r_i(t) r_j(t) (diagonal included, as a quadratic form).
 
-    The form is even, so the max of its absolute value over the blocks of
-    ``quadratic_blocks`` (eps_n = +1), the table ``eval_undecoupled`` mirrors, is the sup.
+    The form is even, so the max of its absolute value over the table of ``quadratic_blocks``
+    (eps_n = +1), the one ``eval_undecoupled`` mirrors, is the sup; a table that fits one
+    block is read through ``quadratic_blocks`` itself.  A larger one is scanned by
+    ``_staircase`` over the factors of ``quadratic_factors``, pruned as ``_pair_max`` prunes:
+    an entry left[w] @ right[:, u] is qw + qu + w . c(u), with qw = w^T b22 w,
+    qu = u^T b11 u and c(u) = (b12 + b21^T)^T u, so its absolute value is at most
+    alpha[w] + beta[u], alpha = |qw| and beta = |qu| + |c(u)|_1.  Rows of left sorted by
+    alpha and columns of right by beta, both descending, a block after the first multiplies
+    its rows only by the columns where (alpha[first] + beta) * slack > best; right's columns
+    are sorted once a block leaves one out, so a table where nothing prunes (a diagonal b,
+    every entry the trace) is not copied.  The K = n - n // 2 + 2 terms of an entry are
+    exact, so with unit roundoff u its computed value is at most (1 + g) times
+    alpha + beta, g = (K - 1) u / (1 - (K - 1) u), and the computed bound, beta a sum of
+    K - 1 terms, at least (1 - g)(1 - u)^2 slack times it; slack = 1 + 4 (K + 2) u exceeds
+    the quotient, 1 + 2K u to first order (below 2^-1022 every add is exact).  A block is one
+    ``np.matmul`` of two rows at least by a column prefix rounded up to a multiple of 8:
+    OpenBLAS's gemm then sums every entry's terms in order, as in the unpruned blocks, where
+    a gemv (one row) or a narrow tail tile may not, so the max is bit for bit the unpruned
+    one.
     """
     b = as_coefficient_matrix(b)
     n, m = b.shape
     if n != m:
         raise ValueError(f"undecoupled coefficients must be square, got {n}x{m}")
     EnumerationCapError.check("undecoupled scan dimension", n, SUP_UNDECOUPLED_CAP)
-    return max(float(np.abs(block, out=block).max()) for block in quadratic_blocks(b))
+    budget = _CHUNK // 8  # table entries a block
+    if 2 ** (n - 1) <= budget:
+        return max(float(np.abs(block, out=block).max()) for block in quadratic_blocks(b))
+    left, right = quadratic_factors(b)
+    alpha = np.abs(left[:, -2])
+    beta = np.abs(right[:-2]).sum(axis=0)
+    beta += np.abs(right[-1])
+    lorder, horder = np.argsort(alpha)[::-1], np.argsort(beta)[::-1]
+    left, ranked = left[lorder], False  # right's columns are sorted once a block leaves one out
+    best = np.zeros(1)
+    slack = 1 + 4 * (right.shape[0] + 2) * np.finfo(float).epsneg
+    bound = (alpha[lorder], beta[horder], slack, best)
+    for first, stop, live in _staircase(left.shape[0], right.shape[1], budget, bound, 8, 2):
+        if live < right.shape[1] and not ranked:
+            right, ranked = np.take(right, horder, axis=1), True  # in C order, as right
+        block = np.matmul(left[first:stop], right[:, :live])
+        np.maximum(best, max(block.max(), -block.min()), out=best)
+    return float(best[0])
 
 
 def walsh_sign_arrangement(k: int) -> np.ndarray:

@@ -63,7 +63,9 @@ class Rearrangement:
         # and masses too
         if not (_ordered(self.values, np.greater) and self.values[-1] == self.values[-1]):
             raise ValueError("values must be strictly decreasing and not NaN")
-        if not self.masses.min() > 0:
+        # one weight broadcast over every step (stride 0) is checked once, not once a step
+        masses = self.masses[:1] if self.masses.strides[0] == 0 else self.masses
+        if not masses.min() > 0:
             raise ValueError("masses must be positive")
 
     def _power_of_two_weight(self) -> float | None:
@@ -85,12 +87,15 @@ class Rearrangement:
         bounds *= w
         return bounds
 
-    def bound_blocks(self, buf: np.ndarray):
+    def bound_blocks(self, buf: np.ndarray, keep=None):
         """Yield (lo, hi, bounds[lo:hi]) for blocks of ``BLOCK`` steps, each written in ``buf``,
         which the caller may then overwrite: the bounds of ``bounds``, bit for bit.  One
         power-of-two weight w broadcast over the steps gives each block as (counts + lo) w,
         ``counts`` being 1..BLOCK, made once per call (a module constant would stay resident
-        in every process); other masses are summed, carrying the blocks before."""
+        in every process); other masses are summed, carrying the blocks before.  Given
+        ``keep``, a test of (lo, bounds[hi - 1]) made as each block comes due, a block that
+        fails it is skipped: not yielded, nor, under one weight, written, as its last bound
+        is hi w."""
         w = self._power_of_two_weight()
         if w is not None:
             counts = np.arange(1.0, min(BLOCK, self.values.size) + 1.0)
@@ -101,7 +106,9 @@ class Rearrangement:
             if w is None:
                 np.copyto(block, self.masses[lo:hi])
                 carry = carry_cumsum(block, carry)
-            else:
+            if keep is not None and not keep(lo, carry if w is None else hi * w):
+                continue
+            if w is not None:
                 np.add(counts[: hi - lo], lo, out=block)
                 block *= w
             yield lo, hi, block

@@ -260,7 +260,8 @@ def quasinorm_phi_eps(r: Rearrangement, eps: float) -> float:
     is at most values[lo] * g(bounds[hi - 1]); taken by scalar ``math`` calls
     and times ``_CAP_SLACK``, far above the few-ulp error of NumPy's log2 and
     pow and one rounding of the product, a cap below the best block max so far
-    skips the block, whose max can only be lower.  So the result is the max of
+    skips the block, whose max can only be lower, and, under one weight, whose
+    bounds ``bound_blocks`` then does not write.  So the result is the max of
     every product, bit for bit; a skipped block's max stays -inf, so a NaN
     product, as for u > 2 when the total mass exceeds 2, still gives NaN.
     """
@@ -269,11 +270,13 @@ def quasinorm_phi_eps(r: Rearrangement, eps: float) -> float:
     power = eps - 0.5
     peaks = np.full(len(range(0, r.values.size, BLOCK)), -math.inf)  # the max of each block
     best = -math.inf  # of the peaks that are not NaN
-    for lo, hi, weights in r.bound_blocks(block_buffer(r.values.size)):
+
+    def keep(lo: int, top: float) -> bool:
         # a negative first value makes every product of the block negative, so 0 caps them
-        cap = max(float(r.values[lo]), 0.0) * _weight_cap(float(weights[-1]), power)
-        if cap * _CAP_SLACK < best:
-            continue
+        cap = max(float(r.values[lo]), 0.0) * _weight_cap(top, power)
+        return not cap * _CAP_SLACK < best
+
+    for lo, hi, weights in r.bound_blocks(block_buffer(r.values.size), keep):
         np.power(np.log2(np.divide(2.0, weights, out=weights), out=weights), power, out=weights)
         weights *= r.values[lo:hi]
         peaks[lo // BLOCK] = peak = weights.max()

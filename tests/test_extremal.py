@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from chaoslab.chaos import decouple_identity_rhs, eval_decoupled, eval_undecoupled
-from chaoslab.dyadic import DyadicPoint, full_sign_matrix, linear_forms, materialize_1d, walsh
+from chaoslab.dyadic import (
+    DyadicPoint,
+    full_sign_matrix,
+    linear_forms,
+    materialize_1d,
+    quadratic_form,
+    walsh,
+)
 from chaoslab import dyadic, extremal
 from chaoslab.errors import EnumerationCapError
 from chaoslab.extremal import (
@@ -532,6 +539,142 @@ STACK_12 = np.random.Generator(np.random.Philox(key=56)).integers(
     0, 2**12, size=(4096, 12), dtype=np.uint64)
 
 
+@st.composite
+def pruned_scan_inputs(draw):
+    """(a, chunk): an n x n matrix, n in 17..22, and a block budget of ``_CHUNK``, one table
+    row of the undecoupled scan, or 4 KiB.  Entries are +-1, small integers or Gaussian, or
+    the matrix is one where many scores tie: diagonal (every eps^T b eps is the trace),
+    all-ones, rank-one or Hadamard; all scaled by 2^-1000, 1 or 2^1000.  At n >= 17 both
+    scans span several blocks at every budget, and the two smaller budgets make one-row
+    blocks of the decoupled pair scan and would make them of the undecoupled one."""
+    n = draw(st.integers(17, 22))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = {
+        "pm1": lambda: np.where(rng.random((n, n)) < 0.5, -1.0, 1.0),
+        "int": lambda: rng.integers(-3, 4, (n, n)).astype(float),
+        "gauss": lambda: rng.standard_normal((n, n)),
+        "diagonal": lambda: np.diag(rng.standard_normal(n)),
+        "ones": lambda: np.ones((n, n)),
+        "rank1": lambda: np.outer(rng.standard_normal(n), rng.standard_normal(n)),
+        "hadamard": lambda: walsh_sign_arrangement(5)[:n, :n],
+    }[draw(st.sampled_from(["pm1", "int", "gauss", "diagonal", "ones", "rank1", "hadamard"]))]()
+    chunk = draw(st.sampled_from([extremal._CHUNK, 8 * 2 ** (n // 2), 2**12]))
+    return a * draw(st.sampled_from([2.0**-1000, 1.0, 2.0**1000])), chunk
+
+
+class TestPrunedScans:
+    """Both sup scans prune by a bound on each pair's score and size every block by its live
+    prefix; they return bit for bit the max over every pair or table entry."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pruned_scan_inputs())
+    # a budget of one table row: with one-row blocks, which NumPy multiplies by gemv, this
+    # scan's max would be one ulp off the table's
+    @example((np.random.Generator(np.random.Philox(key=80)).standard_normal((18, 18)), 8 * 2**9))
+    def test_undecoupled_is_the_unpruned_max(self, case):
+        b, chunk = case
+        zero = b.copy()
+        np.fill_diagonal(zero, 0.0)
+        with mock.patch.object(extremal, "_CHUNK", chunk):
+            got, got_zero = sup_norm_undecoupled(b), sup_norm_undecoupled(zero)
+        assert got == float(np.abs(quadratic_form(b)).max())
+        assert got_zero == float(np.abs(eval_undecoupled(zero).values).max())
+
+    @settings(max_examples=25, deadline=None)
+    @given(pruned_scan_inputs())
+    def test_decoupled_is_the_full_pair_table_max(self, case):
+        a, chunk = case
+        with mock.patch.object(extremal, "_CHUNK", chunk):
+            got = sup_norm_decoupled(a)
+        assert got == pair_table_max(*half_tables(a))
+
+    @pytest.mark.parametrize("n", [26, 28])
+    def test_undecoupled_at_the_top_of_the_cap(self, n):
+        b = np.random.Generator(np.random.Philox(key=58)).standard_normal((n, n))
+        assert sup_norm_undecoupled(b) == max(float(np.abs(k).max()) for k in dyadic.quadratic_blocks(b))
+
+    def test_undecoupled_blocks_are_whole_gemm_tiles(self):
+        # a budget of one table row: every block still multiplies two rows at least, by a
+        # prefix of whole 8-column tiles, as a one-row product (gemv) or a narrow tail tile may
+        # sum an entry's terms in another order
+        n = 20
+        b = np.random.Generator(np.random.Philox(key=59)).standard_normal((n, n))
+        np.fill_diagonal(b, 0.0)
+        with (
+            mock.patch.object(extremal, "_CHUNK", 8 * 2 ** (n // 2)),
+            mock.patch.object(np, "matmul", wraps=np.matmul) as matmul,
+        ):
+            got = sup_norm_undecoupled(b)
+        shapes = [(left.shape[0], right.shape[1]) for (left, right), _ in matmul.call_args_list]
+        assert len(shapes) > 1
+        assert all(rows >= 2 and cols % 8 == 0 for rows, cols in shapes)
+        assert got == float(np.abs(eval_undecoupled(b).values).max())
+
+    def test_rounding_slack_keeps_an_entry_above_its_bound(self):
+        # the factors of n = 6 (left rows w = +++, -++, +-+, --+) cut to two columns, with
+        # u = 2^-53.  The entry of row --+ (qw = u) and column 0 sums to 1 + 6u, above its
+        # computed bound alpha + beta = u + (1 + 4u), which rounds to 1 + 4u, the first
+        # block's best: only the slack keeps it
+        u = 2.0**-53
+        left = np.column_stack([full_sign_matrix(3)[:4], [-4 * u, 0.0, 6 * u, u], np.ones(4)])
+        right = np.array([[-1 - 2 * u, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2 * u, 0.0]])
+        with (
+            mock.patch.object(extremal, "_CHUNK", 16),
+            mock.patch.object(extremal, "quadratic_factors", lambda b: (left, right)),
+        ):
+            got = sup_norm_undecoupled(np.zeros((6, 6)))
+        assert got == float(np.abs(left @ right).max()) == 1 + 6 * u
+
+    @pytest.mark.parametrize("n", [24, 28])
+    def test_undecoupled_peak_memory(self, n):
+        # the sign table, the factors and their sorted copies, and one block: 2.2 MiB at 24 and
+        # 8.2 MiB at 28, where the table it scans is 64 MiB and 1 GiB
+        h = n // 2
+        signs = 8 * (n - h) * 2 ** (n - h)
+        factors = 8 * (n - h + 2) * (2 ** (n - h - 1) + 2**h)
+        b = np.random.Generator(np.random.Philox(key=60)).standard_normal((n, n))
+        sup_norm_undecoupled(np.ones((3, 3)))  # first-call set-up outside the trace
+        tracemalloc.start()
+        try:
+            sup_norm_undecoupled(b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (signs + factors) + extremal._CHUNK
+
+
+class TestStaircase:
+    """The block rule both pruned scans share."""
+
+    def test_unpruned_runs_fill_the_budget(self):
+        # 12 pairs a block over 4 high rows: 3 low rows a block; a remainder shorter than
+        # ``least`` joins the block before it
+        assert list(extremal._staircase(10, 4, 12)) == [(0, 3, 4), (3, 6, 4), (6, 9, 4), (9, 10, 4)]
+        assert list(extremal._staircase(10, 4, 12, least=2)) == [(0, 3, 4), (3, 6, 4), (6, 10, 4)]
+        assert list(extremal._staircase(3, 8, 4, least=2)) == [(0, 3, 8)]
+
+    def test_pruned_blocks_end_at_the_live_rows(self):
+        la = np.array([10.0, 8.0, 7.0, 5.0, 1.0])
+        hb = np.array([6.0, 4.0, 3.0, 1.0] + [0.0] * 12)
+        best = np.array([12.5])
+        # after the first block, low row 7 pairs with high row 6 alone and low row 5 with
+        # none: one live high row, and the block ends at the last low row that can beat 12.5.
+        # With 8-row tiles and two low rows at least, the remainder of one row joins it
+        blocks = list(extremal._staircase(5, 16, 32, (la, hb, 1.0, best)))
+        assert blocks == [(0, 2, 16), (2, 3, 1)]
+        assert list(extremal._staircase(5, 16, 32, (la, hb, 1.0, best), tile=8, least=2)) == [
+            (0, 2, 16), (2, 5, 8)]
+
+    def test_reads_best_as_the_scan_raises_it(self):
+        la, hb = np.array([4.0, 3.0, 2.0, 1.0]), np.array([4.0, 3.0, 2.0, 1.0])
+        best = np.zeros(1)
+        blocks = []
+        for block in extremal._staircase(4, 4, 4, (la, hb, 1.0, best)):
+            blocks.append(block)
+            best[0] = 6.5  # scored by the first block: only la + hb > 6.5 stays live
+        assert blocks == [(0, 1, 4), (1, 2, 1)]
+
+
 class TestSupNormUndecoupled:
     def test_all_ones_with_diagonal(self):
         assert sup_norm_undecoupled(np.ones((2, 2))) == 4.0
@@ -857,8 +1000,8 @@ class TestTheorem7:
     "call, message",
     [
         (lambda: sup_norm_decoupled(np.ones((31, 40))), "decoupled scan dimension 31 exceeds cap 30"),
-        (lambda: sup_norm_undecoupled(np.ones((25, 25))),
-         "undecoupled scan dimension 25 exceeds cap 24"),
+        (lambda: sup_norm_undecoupled(np.ones((29, 29))),
+         "undecoupled scan dimension 29 exceeds cap 28"),
         (lambda: walsh_sign_arrangement(6), "Walsh generation 6 exceeds cap 5"),
         (lambda: exhaustive_inf(8), "exhaustive search dimension 8 exceeds cap 7"),
         (lambda: exact_average(8), "exact average dimension 8 exceeds cap 7"),

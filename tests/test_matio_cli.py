@@ -12,6 +12,7 @@ import pytest
 import chaoslab
 from chaoslab import cli, extremal, rearrange
 from chaoslab.config import load_config
+from chaoslab.dyadic import quadratic_blocks
 from chaoslab.errors import MatrixParseError
 from chaoslab.matio import (
     format_matrix_csv,
@@ -236,12 +237,23 @@ class TestCliSupnorm:
     def test_missing_file_exit_2(self, outdir):
         assert run_cli(["supnorm", "nope.txt"], outdir) == 2
 
-    def test_cap_exit_3(self, tmp_path, outdir):
+    def test_cap_exit_3(self, tmp_path, outdir, capsys):
         f = tmp_path / "big.txt"
-        n = 25
+        n = 29
         rows = "\n".join(" ".join(["1"] * n) for _ in range(n))
         f.write_text(f"{n} {n}\n{rows}\n")
         assert run_cli(["supnorm", str(f), "--mode", "undecoupled"], outdir) == 3
+        assert "undecoupled scan dimension 29 exceeds cap 28" in capsys.readouterr().err
+
+    def test_undecoupled_at_26_is_the_unpruned_max(self, tmp_path, outdir, capsys):
+        # 26 rows: the pruned scan, checked against the max over every block of the table
+        b = np.random.Generator(np.random.Philox(key=57)).standard_normal((26, 26))
+        f = tmp_path / "b26.txt"
+        f.write_text("26 26\n" + "\n".join(" ".join(repr(float(v)) for v in row) for row in b) + "\n")
+        assert run_cli(["supnorm", str(f), "--mode", "undecoupled"], outdir) == 0
+        assert "supnorm mode=undecoupled n=26 m=26 value=" in capsys.readouterr().out
+        want = max(float(np.abs(block).max()) for block in quadratic_blocks(b))
+        assert json.loads((outdir / "supnorm.json").read_text())["value"] == want
 
 
 class TestCliNorm:
@@ -350,7 +362,7 @@ class TestCliExitCodes:
         bad = tmp_path / "bad.txt"
         bad.write_text("2 2\n1 zz\n1 1\n")
         big = tmp_path / "big.txt"
-        big.write_text("25 25\n" + "\n".join(" ".join(["1"] * 25) for _ in range(25)) + "\n")
+        big.write_text("29 29\n" + "\n".join(" ".join(["1"] * 29) for _ in range(29)) + "\n")
         (tmp_path / "value.cfg").write_text("[run]\nseed = x\n")
         (tmp_path / "header.cfg").write_text("seed = 3\n")
         (tmp_path / "format.cfg").write_text("[run]\nformat = xml\n")

@@ -208,6 +208,14 @@ class TestRearrangement:
             with pytest.raises(ValueError):
                 Rearrangement(values=np.array(values), masses=np.array(masses))
 
+    @pytest.mark.parametrize("weight", [math.nan, 0.0, -0.0, -2.0**-20])
+    def test_validation_rejects_a_bad_broadcast_weight(self, weight):
+        # one weight broadcast over every step is checked once, at its first step
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="masses must be positive"):
+                Rearrangement(values=np.linspace(2.0, 1.0, 2**18), masses=np.broadcast_to(weight, 2**18))
+
     @pytest.mark.parametrize("place", [0, 7])
     def test_nan_step_function_rejected(self, place):
         values = np.arange(8.0)

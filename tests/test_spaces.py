@@ -801,6 +801,31 @@ class TestBlockedNorms:
             assert np.concatenate(blocks).tobytes() == want
             assert r.bounds.tobytes() == want
 
+    @pytest.mark.parametrize("steps", SEAM_STEPS)
+    @pytest.mark.parametrize("weight", [2.0**-14, 0.1, None], ids=["2^-14", "0.1", "contiguous"])
+    def test_keep_skips_blocks_and_leaves_the_rest(self, steps, weight):
+        # keep sees each block's first step and last bound as the block comes due; the blocks it
+        # keeps are bit for bit the ones without it, and under one power-of-two weight a block
+        # it skips is never written
+        if weight is None:
+            masses = np.random.default_rng(steps).uniform(0.5, 1.5, steps) / steps
+        else:
+            masses = np.broadcast_to(weight, steps)
+        r = Rearrangement(values=np.linspace(2.0, 1.0, steps), masses=masses)
+        full = [(lo, hi, b.tobytes()) for lo, hi, b in r.bound_blocks(np.empty(BLOCK))]
+        seen = []
+
+        def odd(lo, top):
+            seen.append((lo, top))
+            return lo // BLOCK % 2 == 1
+
+        kept = [(lo, hi, b.tobytes()) for lo, hi, b in r.bound_blocks(np.empty(BLOCK), odd)]
+        assert seen == [(lo, float(np.frombuffer(b)[-1])) for lo, _, b in full]
+        assert kept == [block for block in full if block[0] // BLOCK % 2 == 1]
+        buf = np.full(BLOCK, np.nan)
+        assert list(r.bound_blocks(buf, lambda lo, top: False)) == []
+        assert np.isnan(buf).all() == (weight == 2.0**-14)
+
     @settings(max_examples=60, deadline=None)
     @given(sup_laws(), st.floats(0.01, 0.49))
     def test_pruned_sup_equals_one_pass(self, r, eps):
