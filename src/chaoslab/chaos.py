@@ -3,6 +3,9 @@
 Coefficient and sign matrices are plain float arrays; validators below enforce
 the contracts (finite entries, exact +-1 signs, zero diagonal where required).
 The undecoupled chaos is ``dyadic.quadratic_form``: meet-in-the-middle blocks, no full sign table.
+``decoupled_law`` and ``undecoupled_law`` build only the quarter or half of the atoms that
+carries |x|'s law, through the same builders whose output ``eval_*`` mirror, so their laws
+are those of ``eval_*`` bit for bit and no table of all 2^(n+m) or 2^n atoms is made.
 """
 
 from __future__ import annotations
@@ -42,6 +45,20 @@ def as_sign_matrix(theta, symmetric: bool = False) -> np.ndarray:
     return t
 
 
+class ChaosLaw:
+    """The law of |x| alone: atoms whose |values| carry it, each of measure ``weight``, all
+    that ``rearrangement``, ``lp_norm``, ``exp_moment`` and ``evaluate_norm`` read.  A plain
+    class: an import-time dataclass costs every process that compiles the package."""
+
+    __slots__ = ("atoms", "weight")
+
+    def __init__(self, atoms: np.ndarray, weight: float):
+        self.atoms, self.weight = atoms, weight
+
+    def law_atoms(self) -> tuple[np.ndarray, float]:
+        return self.atoms, self.weight
+
+
 class _DecoupledChaos(StepFunction2D):
     """eps^T A delta, odd in eps and in delta: the block eps_n = delta_m = +1 carries |x|'s law."""
 
@@ -64,27 +81,56 @@ def _half_forms(c: np.ndarray) -> np.ndarray:
     return forms
 
 
-def eval_decoupled(a, max_bits: int = MAX_BITS_2D) -> StepFunction2D:
-    """Step function of sum(a_ij * r_i(s) * r_j(t)) on the square.
+def _decoupled_quarter(a, max_bits: int, per_axis: int) -> np.ndarray:
+    """A (per_axis * 2^(n-1), per_axis * 2^(m-1)) table whose top left block holds eps^T A delta
+    over the quarter eps_n = delta_m = +1 (masks below 2^(n-1) and 2^(m-1)), the rest unwritten.
 
-    Value at the mask pair (e, d) is eps^T A delta, for all 2^(n+m) sign pairs.  Only the
-    quarter with eps_n = delta_m = +1 (masks below 2^(n-1) and 2^(m-1)) is a matrix product,
-    the half forms of the longer axis times the half sign table of the shorter, so no sign
-    table of the longer axis is built; complementing a mask negates its sign vector and maps
-    mask k to 2^n - 1 - k, so the other three blocks are its negated mirror images, exact by
-    construction.  The result reads its law (``law_atoms``) from that quarter alone, at four
-    times the atom measure.
+    The quarter is a matrix product, the half forms of the longer axis times the half sign
+    table of the shorter, so no sign table of the longer axis is built.
     """
     a = as_coefficient_matrix(a)
     n, m = a.shape
     EnumerationCapError.check(f"{n}x{m} decoupled sign bits", n + m, max_bits)
     hn, hm = 2 ** (n - 1), 2 ** (m - 1)
-    values = np.empty((2 * hn, 2 * hm))
+    values = np.empty((per_axis * hn, per_axis * hm))
     quarter, c = (values[:hn, :hm], a) if n >= m else (values[:hn, :hm].T, a.T)
     np.matmul(_half_forms(c), _half_forms(np.eye(c.shape[1])).T, out=quarter)
+    return values
+
+
+def eval_decoupled(a, max_bits: int = MAX_BITS_2D) -> StepFunction2D:
+    """Step function of sum(a_ij * r_i(s) * r_j(t)) on the square.
+
+    Value at the mask pair (e, d) is eps^T A delta, for all 2^(n+m) sign pairs.  Only the
+    quarter with eps_n = delta_m = +1 is computed (``_decoupled_quarter``); complementing a
+    mask negates its sign vector and maps mask k to 2^n - 1 - k, so the other three blocks
+    are its negated mirror images, exact by construction.  The result reads its law
+    (``law_atoms``) from that quarter alone, at four times the atom measure.
+    """
+    values = _decoupled_quarter(a, max_bits, 2)
+    hn, hm = values.shape[0] // 2, values.shape[1] // 2
     np.negative(values[:hn, hm - 1 :: -1], out=values[:hn, hm:])
     np.negative(values[hn - 1 :: -1], out=values[hn:])
-    return _DecoupledChaos(n=n, m=m, values=values)
+    return _DecoupledChaos(n=hn.bit_length(), m=hm.bit_length(), values=values)
+
+
+def decoupled_law(a, max_bits: int = MAX_BITS_2D) -> ChaosLaw:
+    """The law of ``eval_decoupled(a, max_bits)`` from its quarter alone, contiguous, bit for bit
+    the quarter that ``eval_decoupled`` mirrors, at four times the atom measure."""
+    quarter = _decoupled_quarter(a, max_bits, 1)
+    return ChaosLaw(quarter, 1.0 / quarter.size)
+
+
+def _as_undecoupled(b, max_bits: int) -> np.ndarray:
+    """b as a square float matrix with a zero diagonal, of at most ``max_bits`` sign bits."""
+    b = as_coefficient_matrix(b)
+    n, m = b.shape
+    if n != m:
+        raise ValueError(f"undecoupled coefficients must be square, got {n}x{m}")
+    if np.any(np.diagonal(b) != 0.0):
+        raise ValueError("diagonal must vanish")
+    EnumerationCapError.check(f"{n}x{n} undecoupled sign bits", n, max_bits)
+    return b
 
 
 def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
@@ -94,14 +140,15 @@ def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
     even and ``quadratic_form`` mirrors the half eps_n = +1 (the blocks ``sup_norm_undecoupled``
     scans), so the result reads its law from that half at twice the atom measure.
     """
-    b = as_coefficient_matrix(b)
-    n, m = b.shape
-    if n != m:
-        raise ValueError(f"undecoupled coefficients must be square, got {n}x{m}")
-    if np.any(np.diagonal(b) != 0.0):
-        raise ValueError("diagonal must vanish")
-    EnumerationCapError.check(f"{n}x{n} undecoupled sign bits", n, max_bits)
-    return _UndecoupledChaos(n=n, values=quadratic_form(b))
+    b = _as_undecoupled(b, max_bits)
+    return _UndecoupledChaos(n=b.shape[0], values=quadratic_form(b))
+
+
+def undecoupled_law(b, max_bits: int = MAX_BITS_1D) -> ChaosLaw:
+    """The law of ``eval_undecoupled(b, max_bits)`` from the half eps_n = +1 alone, bit for bit
+    the half that ``quadratic_form`` mirrors, at twice the atom measure."""
+    half = quadratic_form(_as_undecoupled(b, max_bits), mirror=False)
+    return ChaosLaw(half, 1.0 / half.size)
 
 
 def decouple_identity_rhs(b, N: int) -> StepFunction1D:

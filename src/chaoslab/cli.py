@@ -6,7 +6,9 @@ have a CSV and a JSON form and write those that ``--format`` asks for;
 supnorm and norm write JSON whatever it asks.  A JSON artifact embeds the
 effective configuration snapshot under a ``config`` key and the verify and
 scaling CSVs lead with a ``# config`` comment line, while ``walsh-k<K>.csv``
-is a bare matrix file that supnorm and norm read back.  Artifacts are cached
+is a bare matrix file that supnorm and norm read back.  norm builds only the
+quarter (decoupled) or half (undecoupled) of the atoms that carries the law,
+never the whole chaos, and caps it by the chaos's sign bits.  Artifacts are cached
 under the output directory keyed by command, parameters and snapshot, so
 re-running an identical command re-emits byte-identical files.
 """
@@ -24,7 +26,7 @@ import time
 from pathlib import Path
 
 from . import extremal, matio, spaces
-from .chaos import eval_decoupled, eval_undecoupled
+from .chaos import decoupled_law, undecoupled_law
 from .config import FORMATS, RunConfig, load_config
 from .errors import EnumerationCapError, MatrixParseError
 from .matio import format_number
@@ -259,9 +261,9 @@ def _cmd_norm(args, cfg: RunConfig) -> int:
     spec = spaces.parse_space(args.space)
     a = matio.load_matrix(args.matrix)
     if args.mode == "decoupled":
-        x = eval_decoupled(a, max_bits=cfg.max_bits_2d)
+        x = decoupled_law(a, max_bits=cfg.max_bits_2d)
     else:
-        x = eval_undecoupled(a, max_bits=cfg.max_bits_1d)
+        x = undecoupled_law(a, max_bits=cfg.max_bits_1d)
     r = rearrangement(x) if args.export_rearrangement else None
     value = spaces.evaluate_norm(spec, x, cfg.orlicz_rel_tol, r)
     print(f"norm space={args.space} mode={args.mode} value={format_number(value)}")

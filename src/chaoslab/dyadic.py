@@ -162,17 +162,19 @@ def quadratic_blocks(b, table=None) -> Iterator[np.ndarray]:
                         out=None if table is None else table[start : start + rows])
 
 
-def quadratic_form(b) -> np.ndarray:
+def quadratic_form(b, mirror: bool = True) -> np.ndarray:
     """eps^T b eps for every mask of a square b: ``quadratic_blocks`` and its mirror image, as
-    complementing a mask negates eps, so negated masks agree bit for bit."""
+    complementing a mask negates eps, so negated masks agree bit for bit.  ``mirror=False``
+    returns the half eps_n = +1 alone, the same bits."""
     b = np.asarray(b, dtype=np.float64)
     half = 2 ** b.shape[0] // 2
     if not half:  # no variables: the form is the constant 0
         return np.zeros(1)
-    out = np.empty(2 * half)
+    out = np.empty(2 * half if mirror else half)
     for _ in quadratic_blocks(b, out[:half].reshape(-1, 2 ** (b.shape[0] // 2))):
         pass  # each block is computed in place
-    out[half:] = out[half - 1 :: -1]
+    if mirror:
+        out[half:] = out[half - 1 :: -1]
     return out
 
 

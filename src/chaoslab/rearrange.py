@@ -5,15 +5,17 @@ atoms, so distributions and rearrangements are computed exactly by one sort of
 |x| and a diff of neighbouring values.  The sort covers only the atoms that
 ``law_atoms`` names: a quarter of them for ``eval_decoupled`` (|x| is even in
 each axis's signs) and half for ``eval_undecoupled`` (x itself is even), each
-standing for 4 or 2 atoms; this is exact because the other atoms hold exact
-negations or copies of theirs.  A value is snapped into a step when it lies
+standing for 4 or 2 atoms (``decoupled_law`` and ``undecoupled_law`` build
+only those); this is exact because the other atoms hold exact negations or
+copies of theirs.  A value is snapped into a step when it lies
 within ``VALUE_SNAP`` of the step's first value, to absorb floating-point
 noise; in-scope functions only take values that are small signed sums of
 coefficients, so genuinely distinct values never collide.
 
 Work on a law goes ``BLOCK`` elements at a time through one or two block
-buffers, so past the sort buffer no array as long as the law is allocated:
-the drop test of the sort, the value gaps of ``equimeasurable``, and the
+buffers, so past the sort buffer and the masses of a law with ties no array
+as long as the law is allocated: the drop test of the sort and the merge that
+compacts steps into the sort buffer, the value gaps of ``equimeasurable``, and the
 bounds (cumulative masses) that the norms in ``spaces`` read through
 ``Rearrangement.bound_blocks``.  ``BLOCK`` doubles fill 64 KiB, half of
 glibc's default 128 KiB mmap threshold, so a block buffer comes from the heap
@@ -186,18 +188,18 @@ def carry_cumsum(block: np.ndarray, carry: float) -> float:
 def _sorted_steps(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     """Distinct |values| (descending) with exact masses, snap-merged.
 
-    One sort buffer: the owned copy of the |values| of ``x.law_atoms()`` is sorted
-    descending in place (negated, sorted, negated back, all exact).  A step starts
-    wherever the descending values drop by more than ``VALUE_SNAP``.  When every
-    value starts one, as for any law of distinct values, the buffer itself is
-    returned as the values, and the masses are one atom's weight broadcast over
-    them, a read-only view.  Otherwise each step is
+    One sort buffer: an owned copy of the |values| of ``x.law_atoms()`` is sorted
+    descending in place (negated, sorted, negated back, all exact).  Each step is
     anchored at its first (largest) value and holds exactly the values within
     ``VALUE_SNAP`` of that anchor, so a run of small gaps that spans more than
-    ``VALUE_SNAP`` in total is split again from its anchor.  Masses count atoms at
-    the weight ``law_atoms`` gives them: the chaos's representative quarter or half
-    has the same distinct values as all atoms, each repeated 4 or 2 times less, so
-    steps and masses are the same bit for bit.  NaN values are rejected.
+    ``VALUE_SNAP`` in total is split again from its anchor; a drop of more than
+    ``VALUE_SNAP`` always starts a step.  When every value starts one, as for any
+    law of distinct values, the buffer itself is returned as the values, and the
+    masses are one atom's weight broadcast over them, a read-only view; otherwise
+    ``_merge_steps`` compacts the steps into it.  Masses count atoms at the weight
+    ``law_atoms`` gives them: the chaos's representative quarter or half has the
+    same distinct values as all atoms, each repeated 4 or 2 times less, so steps
+    and masses are the same bit for bit.  NaN values are rejected.
     """
     atoms, weight = x.law_atoms()
     vals = np.abs(atoms).reshape(-1)
@@ -206,42 +208,83 @@ def _sorted_steps(x: StepFunction) -> tuple[np.ndarray, np.ndarray]:
     np.negative(vals, out=vals)
     if vals[-1] != vals[-1]:  # NaN sorts last
         raise ValueError("step function values must not be NaN")
-    # the drops go a block at a time through one gap buffer; the step flags ``new`` are built
-    # from the first block whose gaps are not all wide, so a law of distinct values needs none
+    # the drops go a block at a time through one gap buffer, up to the first block with a drop
+    # of at most VALUE_SNAP (or NaN, as between two infinities), where the merge takes over
     gaps = block_buffer(vals.size)
-    new = None
     for k in range(0, vals.size - 1, BLOCK):
         run = vals[k : k + BLOCK + 1]
-        gap = np.subtract(run[:-1], run[1:], out=gaps[: run.size - 1])
-        if new is None:
-            if gap.min() > VALUE_SNAP:
-                continue
-            new = np.ones(vals.size, dtype=bool)
-        np.greater(gap, VALUE_SNAP, out=new[k + 1 : k + run.size])
-    if new is None:  # one atom per step
-        return vals, np.broadcast_to(weight, vals.size)
-    starts = np.flatnonzero(new)
-    values = vals[starts]
-    # a step whose last value lies more than VALUE_SNAP below its anchor is split again;
-    # anchor - v grows along a descending run, so each cut is a searchsorted, marked in new
-    lasts = vals[np.append(new[1:], True)]
-    wide = np.flatnonzero(np.subtract(values, lasts, out=lasts) > VALUE_SNAP)
-    for w in wide.tolist():
-        k = int(starts[w])
-        end = int(starts[w + 1]) if w + 1 < starts.size else vals.size
-        while True:
-            k += int(np.searchsorted(vals[k] - vals[k:end], VALUE_SNAP, side="right"))
-            if k == end:
-                break
-            new[k] = True
-    if wide.size:
-        starts = np.flatnonzero(new)
-        values = vals[starts]
-    # each step-sized temporary is a fresh allocation, so the masses are written in place
-    masses = np.empty(starts.size)
-    np.subtract(starts[1:], starts[:-1], out=masses[:-1])
-    masses[-1] = vals.size - starts[-1]
-    masses *= weight
+        if not np.subtract(run[:-1], run[1:], out=gaps[: run.size - 1]).min() > VALUE_SNAP:
+            return _merge_steps(vals, weight, k, gaps)
+    return vals, np.broadcast_to(weight, vals.size)  # one atom per step
+
+
+def _merge_steps(vals: np.ndarray, weight: float, k: int, gaps: np.ndarray):
+    """The steps of the sorted buffer ``vals``, whose values before ``k`` are one step each and
+    ``vals[k]`` starts one: their values compacted in place to the front of ``vals`` and
+    returned as a view of it, or as a copy when they fill less than half of it, and their
+    masses one weight but over the steps of a block with ties.  No array as long as the law
+    is allocated but the masses.
+
+    The open step ends at the first atom further than ``VALUE_SNAP`` below its anchor, found
+    a block at a time; a block whose last value is within reach joins the step whole.  After
+    a long step the next is found the same way, which walks a law of few steps, such as an
+    integer law, step by step.  After a short one the next block's steps are cut at once: at
+    each drop of more than ``VALUE_SNAP``, and in a run of smaller drops whose last value lies
+    further than that from its first, again from each anchor by ``searchsorted``; the last
+    step stays open.  A step's value is written over a position no later than its first atom,
+    after the block's values are read, so no value is overwritten before it is read.
+    """
+    size = vals.size
+    flags = np.empty(min(BLOCK, size), dtype=bool)
+    held = []  # (first step, atom counts) of the steps that may hold more than one atom
+    steps, first, lo = k + 1, k, k + 1  # the open step is vals[steps - 1], from atom first; lo next
+    while lo < size:
+        anchor = float(vals[steps - 1])
+        hi = min(lo + BLOCK, size)
+        # the values decrease, so all join the open step if the last does (NaN: both infinite)
+        if not anchor - vals[hi - 1] > VALUE_SNAP:
+            lo = hi
+            continue
+        if not anchor - vals[lo] > VALUE_SNAP:  # the open step goes on past lo: find its end
+            beyond = np.subtract(anchor, vals[lo:hi], out=gaps[: hi - lo])
+            lo += int(np.greater(beyond, VALUE_SNAP, out=flags[: hi - lo]).argmax())
+        if lo - first > 1:
+            held.append((steps - 1, lo - first))
+        if lo - first >= BLOCK // 8:  # a long step: walking on costs less than a block of drops
+            vals[steps] = vals[lo]
+            steps, first, lo = steps + 1, lo, lo + 1
+            continue
+        hi = min(lo + BLOCK, size)
+        block, new = vals[lo:hi], flags[: hi - lo]
+        new[0] = True
+        np.greater(np.subtract(block[:-1], block[1:], out=gaps[: hi - lo - 1]), VALUE_SNAP,
+                   out=new[1:])
+        if new.all():  # one atom per step, the last open
+            vals[steps : steps + new.size] = block
+            steps, first, lo = steps + new.size, hi - 1, hi
+            continue
+        starts = new.nonzero()[0]
+        ends = np.append(starts[1:], new.size)  # runs of small drops: those wider than VALUE_SNAP
+        wide = np.flatnonzero(block[starts] - block[ends - 1] > VALUE_SNAP)
+        for w in wide.tolist():
+            i, end = int(starts[w]), int(ends[w])
+            while True:
+                i += int(np.searchsorted(block[i] - block[i:end], VALUE_SNAP, side="right"))
+                if i == end:
+                    break
+                new[i] = True
+        if wide.size:
+            starts = new.nonzero()[0]
+        held.append((steps, starts[1:] - starts[:-1]))  # each step's but the last, still open
+        vals[steps : steps + starts.size] = block[starts]
+        steps, first, lo = steps + starts.size, lo + int(starts[-1]), hi
+    held.append((steps - 1, size - first))
+    # few steps are copied out and the buffer freed: kept, or shrunk in place, a large buffer
+    # that holds a small law fragments the heap from call to call
+    values = vals[:steps] if 2 * steps > size else vals[:steps].copy()
+    masses = np.full(steps, weight)
+    for at, counts in held:
+        masses[at : at + np.size(counts)] = np.multiply(counts, weight)
     return values, masses
 
 

@@ -12,9 +12,11 @@ from chaoslab.chaos import (
     as_sign_matrix,
     chaos_coefficients,
     decouple_identity_rhs,
+    decoupled_law,
     eval_decoupled,
     eval_undecoupled,
     shift_map,
+    undecoupled_law,
 )
 from chaoslab.dyadic import full_sign_matrix
 from chaoslab.errors import EnumerationCapError
@@ -84,6 +86,50 @@ class TestEvalDecoupled:
         finally:
             tracemalloc.stop()
         assert peak <= bound * 2**20
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLaws:
+    def test_decoupled_law_peaks_at_its_quarter(self):
+        # 11x11: the contiguous 2^10 x 2^10 quarter is 8 MiB, the mirrored table 32 MiB
+        a = np.random.Generator(np.random.Philox(key=61)).standard_normal((11, 11))
+        assert traced_peak(decoupled_law, a) <= 9 * 2**20
+        assert traced_peak(eval_decoupled, a) >= 32 * 2**20
+
+    def test_undecoupled_law_peaks_at_its_half(self):
+        # n = 20: the 4 MiB half and the split table's factors; eval_undecoupled peaks at 8.3 MiB
+        b = np.random.Generator(np.random.Philox(key=60)).standard_normal((20, 20))
+        np.fill_diagonal(b, 0.0)
+        assert traced_peak(undecoupled_law, b) < 6 * 2**20
+
+    @pytest.mark.parametrize("shape, max_bits", [((4, 3), 6), ((1, 6), 6), ((6, 1), 6)])
+    def test_decoupled_cap_counts_every_bit(self, shape, max_bits):
+        # the quarter holds n + m - 2 bits, but the cap is on the n + m of the chaos
+        a = np.ones(shape)
+        for build in (decoupled_law, eval_decoupled):
+            with pytest.raises(EnumerationCapError) as err:
+                build(a, max_bits)
+            assert str(err.value) == f"{shape[0]}x{shape[1]} decoupled sign bits 7 exceeds cap 6"
+        assert decoupled_law(np.ones((3, 3)), max_bits).law_atoms()[0].shape == (4, 4)
+
+    def test_undecoupled_cap_and_validation_are_those_of_eval(self):
+        b = np.ones((7, 7)) - np.eye(7)
+        for build in (undecoupled_law, eval_undecoupled):
+            with pytest.raises(EnumerationCapError, match="^7x7 undecoupled sign bits 7 exceeds cap 6$"):
+                build(b, 6)
+            with pytest.raises(ValueError, match="diagonal must vanish"):
+                build(np.eye(2))
+            with pytest.raises(ValueError, match="must be square"):
+                build(np.zeros((2, 3)))
+        assert undecoupled_law(b[:6, :6], 6).law_atoms()[0].shape == (32,)
 
 
 class TestEvalUndecoupled:

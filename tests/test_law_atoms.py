@@ -14,10 +14,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaoslab.chaos import eval_decoupled, eval_undecoupled
+from chaoslab.chaos import decoupled_law, eval_decoupled, eval_undecoupled, undecoupled_law
 from chaoslab.dyadic import StepFunction1D, StepFunction2D, full_sign_matrix
 from chaoslab.rearrange import distribution, rearrangement
-from chaoslab.spaces import exp_moment, lp_norm
+from chaoslab.spaces import evaluate_norm, exp_moment, lp_norm, parse_space
 
 KINDS = ("gaussian", "integer", "sign", "near_tie")
 
@@ -85,6 +85,52 @@ class TestEvalOutputs:
         assert names == ["n", "m", "values"]
         names = [f.name for f in dataclasses.fields(eval_undecoupled(np.zeros((3, 3))))]
         assert names == ["n", "values"]
+
+
+@st.composite
+def law_path_cases(draw):
+    """(coefficients, decoupled): n x m for 1 <= n, m <= 9 either way round, or n x n with a
+    zero diagonal, of every kind, times a random scale."""
+    decoupled = draw(st.booleans())
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 9)) if decoupled else n
+    a = coefficients(draw(st.sampled_from(KINDS)), (n, m), draw(st.integers(0, 2**32 - 1)))
+    a *= draw(st.floats(1e-200, 1e200))
+    if not decoupled:
+        np.fill_diagonal(a, 0.0)
+    return a, decoupled
+
+
+SPACES = ("lp:1", "lp:2.5", "lp:inf", "orlicz-exp", "marc:0.25", "lorentz:1.5")
+
+
+class TestLawPath:
+    """``decoupled_law`` and ``undecoupled_law`` build only the atoms ``eval_*`` read their law
+    from, through the same builders, so every law and norm is the same bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(law_path_cases())
+    @example((coefficients("gaussian", (1, 9), 3), True))
+    @example((coefficients("near_tie", (9, 1), 4), True))
+    @example((coefficients("gaussian", (3, 8), 5), True))
+    @example((np.zeros((1, 1)), False))
+    def test_atoms_and_weight_are_those_of_eval(self, case):
+        a, decoupled = case
+        atoms, weight = (decoupled_law if decoupled else undecoupled_law)(a).law_atoms()
+        want, want_weight = (eval_decoupled if decoupled else eval_undecoupled)(a).law_atoms()
+        assert atoms.shape == want.shape and atoms.flags.c_contiguous
+        assert np.array_equal(atoms, want)
+        assert weight == want_weight
+
+    @settings(max_examples=100, deadline=None)
+    @given(law_path_cases())
+    def test_every_space_is_equal(self, case):
+        a, decoupled = case
+        law = (decoupled_law if decoupled else undecoupled_law)(a)
+        x = (eval_decoupled if decoupled else eval_undecoupled)(a)
+        for text in SPACES:
+            spec = parse_space(text)
+            assert evaluate_norm(spec, law) == evaluate_norm(spec, x), text
 
 
 class TestLawMatchesAllAtoms:

@@ -10,19 +10,20 @@ import numpy as np
 import pytest
 
 import chaoslab
-from chaoslab import cli, extremal, rearrange
+from chaoslab import chaos, cli, extremal, rearrange, spaces
 from chaoslab.config import load_config
 from chaoslab.dyadic import quadratic_blocks
 from chaoslab.errors import MatrixParseError
 from chaoslab.matio import (
     format_matrix_csv,
+    format_number,
     format_matrix_text,
     load_matrix,
     parse_matrix_csv,
     parse_matrix_text,
     rearrangement_to_csv,
 )
-from chaoslab.rearrange import Rearrangement
+from chaoslab.rearrange import Rearrangement, rearrangement
 from chaoslab.suites import SUITE_NAMES, run_suite
 
 
@@ -309,6 +310,50 @@ class TestCliNorm:
         ) == 0
         assert len(calls) == 1
         assert dest.read_text().startswith("value,cumulative_measure\n")
+
+    @pytest.mark.parametrize("mode", ["decoupled", "undecoupled"])
+    def test_reads_the_law_alone(self, tmp_path, outdir, monkeypatch, capsys, mode):
+        # norm builds only the quarter or half that carries the law: the materialized chaos,
+        # read first for the expected values, is then unavailable to it
+        a = np.random.Generator(np.random.Philox(key=62)).standard_normal((5, 3 if mode == "decoupled" else 5))
+        if mode == "undecoupled":
+            np.fill_diagonal(a, 0.0)
+        f = tmp_path / "a.txt"
+        f.write_text(format_matrix_text(a))
+        x = (chaos.eval_decoupled if mode == "decoupled" else chaos.eval_undecoupled)(a)
+        texts = ["lp:2", "lp:inf", "orlicz-exp", "marc:0.25", "lorentz:1.5"]
+        want = [format_number(spaces.evaluate_norm(spaces.parse_space(t), x)) for t in texts]
+        csv = rearrangement_to_csv(rearrangement(x))
+
+        def unavailable(*args, **kwargs):
+            raise AssertionError("norm materialized every atom of the chaos")
+
+        for name in ("eval_decoupled", "eval_undecoupled"):
+            monkeypatch.setattr(chaos, name, unavailable)
+            monkeypatch.setattr(cli, name, unavailable, raising=False)
+        dest = tmp_path / "rearr.csv"
+        for text, value in zip(texts, want):
+            assert run_cli(["norm", str(f), "--space", text, "--mode", mode,
+                            "--export-rearrangement", str(dest)], outdir) == 0
+            assert capsys.readouterr().out == f"norm space={text} mode={mode} value={value}\n"
+            assert dest.read_text() == csv
+
+    @pytest.mark.parametrize("shape, mode, message", [
+        ((14, 13), "decoupled", "14x13 decoupled sign bits 27 exceeds cap 26"),
+        ((27, 1), "decoupled", "27x1 decoupled sign bits 28 exceeds cap 26"),
+        ((25, 25), "undecoupled", "25x25 undecoupled sign bits 25 exceeds cap 24"),
+    ])
+    def test_cap_exit_3(self, tmp_path, outdir, capsys, shape, mode, message):
+        # the caps count the chaos's sign bits, as eval_* do, not the atoms of the law built
+        a = np.ones(shape)
+        if mode == "undecoupled":
+            np.fill_diagonal(a, 0.0)
+        f = tmp_path / "big.txt"
+        f.write_text(format_matrix_text(a))
+        assert run_cli(["norm", str(f), "--space", "lp:inf", "--mode", mode], outdir) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(chaoslab.EnumerationCapError, match=f"^{message}$"):
+            (chaos.eval_decoupled if mode == "decoupled" else chaos.eval_undecoupled)(a)
 
     def test_marc_out_of_range_exit_2(self, tmp_path, outdir):
         f = tmp_path / "a.txt"

@@ -379,6 +379,43 @@ class TestSnapMerge:
         assert np.array_equal(r.masses, masses)
 
 
+    def test_long_and_short_steps_with_wide_chains(self):
+        # steps of thousands of atoms, found one by one, between runs of one-atom steps and
+        # sub-VALUE_SNAP chains that are cut a block at a time
+        rng = np.random.Generator(np.random.Philox(key=31))
+        chain = 5.0 + np.cumsum(rng.choice([0.0, 0.4, 0.9], 3000)) * VALUE_SNAP
+        vals = np.concatenate([
+            np.full(3000, 7.0), rng.uniform(6.0, 7.0, 20000), chain, np.full(1500, 4.5),
+            np.full(1100, 4.0) + rng.choice([0.0, 0.3], 1100) * VALUE_SNAP,
+            rng.integers(0, 3, 2**16 - 28600).astype(float),
+        ])
+        x = StepFunction1D(n=16, values=rng.permutation(vals) * rng.choice([-1.0, 1.0], 2**16))
+        values, masses = anchor_merge_oracle(x)
+        r = rearrangement(x)
+        assert np.array_equal(r.values, values)
+        assert np.array_equal(r.masses, masses)
+
+    def test_one_close_pair_peaks_at_two_law_sizes(self):
+        # one pair within VALUE_SNAP sends a Gaussian law to the merge: its steps are compacted
+        # into the sort buffer and the masses are the one other law-sized array, where flags,
+        # step starts, gathers and masses of the whole law peaked at 5.1 law sizes
+        rng = np.random.Generator(np.random.Philox(key=37))
+        mags = np.cumsum(rng.uniform(1e-9, 1e-5, 2**20))[::-1]  # gaps far above VALUE_SNAP
+        mags[1001] = mags[1000] - 0.5 * VALUE_SNAP
+        x = StepFunction1D(n=20, values=rng.permutation(mags) * rng.choice([-1.0, 1.0], 2**20))
+        rearrangement(x)
+        tracemalloc.start()
+        try:
+            r = rearrangement(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * mags.nbytes
+        assert r.values.size == 2**20 - 1 and r.values[1000] == mags[1000]
+        assert r.masses[1000] == 2 * x.atom_measure
+        assert np.array_equal(np.delete(r.masses, 1000), np.full(2**20 - 2, x.atom_measure))
+
+
 class TestLogTailMeasure:
     # brackets are the two-sided exponential estimates; the expected values
     # were frozen from an independent quadrature of the section-measure
