@@ -45,20 +45,6 @@ def as_sign_matrix(theta, symmetric: bool = False) -> np.ndarray:
     return t
 
 
-class ChaosLaw:
-    """The law of |x| alone: atoms whose |values| carry it, each of measure ``weight``, all
-    that ``rearrangement``, ``lp_norm``, ``exp_moment`` and ``evaluate_norm`` read.  A plain
-    class: an import-time dataclass costs every process that compiles the package."""
-
-    __slots__ = ("atoms", "weight")
-
-    def __init__(self, atoms: np.ndarray, weight: float):
-        self.atoms, self.weight = atoms, weight
-
-    def law_atoms(self) -> tuple[np.ndarray, float]:
-        return self.atoms, self.weight
-
-
 class _DecoupledChaos(StepFunction2D):
     """eps^T A delta, odd in eps and in delta: the block eps_n = delta_m = +1 carries |x|'s law."""
 
@@ -114,11 +100,11 @@ def eval_decoupled(a, max_bits: int = MAX_BITS_2D) -> StepFunction2D:
     return _DecoupledChaos(n=hn.bit_length(), m=hm.bit_length(), values=values)
 
 
-def decoupled_law(a, max_bits: int = MAX_BITS_2D) -> ChaosLaw:
-    """The law of ``eval_decoupled(a, max_bits)`` from its quarter alone, contiguous, bit for bit
-    the quarter that ``eval_decoupled`` mirrors, at four times the atom measure."""
+def decoupled_law(a, max_bits: int = MAX_BITS_2D) -> StepFunction1D:
+    """A step function of generation n + m - 2 whose |values| have the law of
+    ``eval_decoupled(a, max_bits)``: the quarter that it mirrors, bit for bit, raveled."""
     quarter = _decoupled_quarter(a, max_bits, 1)
-    return ChaosLaw(quarter, 1.0 / quarter.size)
+    return StepFunction1D(n=quarter.size.bit_length() - 1, values=quarter.reshape(-1))
 
 
 def _as_undecoupled(b, max_bits: int) -> np.ndarray:
@@ -144,11 +130,11 @@ def eval_undecoupled(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
     return _UndecoupledChaos(n=b.shape[0], values=quadratic_form(b))
 
 
-def undecoupled_law(b, max_bits: int = MAX_BITS_1D) -> ChaosLaw:
-    """The law of ``eval_undecoupled(b, max_bits)`` from the half eps_n = +1 alone, bit for bit
-    the half that ``quadratic_form`` mirrors, at twice the atom measure."""
+def undecoupled_law(b, max_bits: int = MAX_BITS_1D) -> StepFunction1D:
+    """A step function of generation n - 1 with the law of ``eval_undecoupled(b, max_bits)``:
+    the half eps_n = +1 that ``quadratic_form`` mirrors, bit for bit."""
     half = quadratic_form(_as_undecoupled(b, max_bits), mirror=False)
-    return ChaosLaw(half, 1.0 / half.size)
+    return StepFunction1D(n=half.size.bit_length() - 1, values=half)
 
 
 def decouple_identity_rhs(b, N: int) -> StepFunction1D:

@@ -223,7 +223,8 @@ def _merge_steps(vals: np.ndarray, weight: float, k: int, gaps: np.ndarray):
     ``vals[k]`` starts one: their values compacted in place to the front of ``vals`` and
     returned as a view of it, or as a copy when they fill less than half of it, and their
     masses one weight but over the steps of a block with ties.  No array as long as the law
-    is allocated but the masses.
+    is allocated but the masses: the atom counts of a block with ties wait for them as int16,
+    a quarter of a law size at most.
 
     The open step ends at the first atom further than ``VALUE_SNAP`` below its anchor, found
     a block at a time; a block whose last value is within reach joins the step whole.  After
@@ -275,7 +276,8 @@ def _merge_steps(vals: np.ndarray, weight: float, k: int, gaps: np.ndarray):
                 new[i] = True
         if wide.size:
             starts = new.nonzero()[0]
-        held.append((steps, starts[1:] - starts[:-1]))  # each step's but the last, still open
+        # each step's count but the last, still open; counts within a block fit in int16
+        held.append((steps, (starts[1:] - starts[:-1]).astype(np.int16)))
         vals[steps : steps + starts.size] = block[starts]
         steps, first, lo = steps + starts.size, lo + int(starts[-1]), hi
     held.append((steps - 1, size - first))

@@ -118,7 +118,7 @@ class TestLaws:
             with pytest.raises(EnumerationCapError) as err:
                 build(a, max_bits)
             assert str(err.value) == f"{shape[0]}x{shape[1]} decoupled sign bits 7 exceeds cap 6"
-        assert decoupled_law(np.ones((3, 3)), max_bits).law_atoms()[0].shape == (4, 4)
+        assert decoupled_law(np.ones((3, 3)), max_bits).law_atoms()[0].shape == (16,)
 
     def test_undecoupled_cap_and_validation_are_those_of_eval(self):
         b = np.ones((7, 7)) - np.eye(7)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -354,6 +355,29 @@ class TestCliNorm:
         assert capsys.readouterr().err == f"error: {message}\n"
         with pytest.raises(chaoslab.EnumerationCapError, match=f"^{message}$"):
             (chaos.eval_decoupled if mode == "decoupled" else chaos.eval_undecoupled)(a)
+
+    @pytest.mark.parametrize("mode", ["decoupled", "undecoupled"])
+    def test_traced_run_counts_the_law(self, tmp_path, outdir, capsys, mode):
+        # the benchmark's tracer wraps rearrangement and counts its argument's flat_values()
+        spec = importlib.util.spec_from_file_location(
+            "_chaosbench_tracing", Path(__file__).resolve().parents[1] / "chaosbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        a = np.random.Generator(np.random.Philox(key=63)).standard_normal((4, 4))
+        if mode == "undecoupled":
+            np.fill_diagonal(a, 0.0)
+        f = tmp_path / "a.txt"
+        f.write_text(format_matrix_text(a))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            for text in ("lp:inf", "orlicz-exp", "lorentz:1.5", "marc:0.25"):
+                assert run_cli(["norm", str(f), "--space", text, "--mode", mode], outdir) == 0
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        counted = [s["counts"]["atoms"] for s in tracer.spans if s["name"] == "rearrange.rearrangement"]
+        assert counted == [2 ** (6 if mode == "decoupled" else 3)] * 3
 
     def test_marc_out_of_range_exit_2(self, tmp_path, outdir):
         f = tmp_path / "a.txt"

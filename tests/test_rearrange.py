@@ -395,13 +395,16 @@ class TestSnapMerge:
         assert np.array_equal(r.values, values)
         assert np.array_equal(r.masses, masses)
 
-    def test_one_close_pair_peaks_at_two_law_sizes(self):
-        # one pair within VALUE_SNAP sends a Gaussian law to the merge: its steps are compacted
-        # into the sort buffer and the masses are the one other law-sized array, where flags,
-        # step starts, gathers and masses of the whole law peaked at 5.1 law sizes
+    @pytest.mark.parametrize("pairs", [[1000], list(range(1000, 2**20, BLOCK))],
+                             ids=["one_pair", "a_pair_in_every_block"])
+    def test_close_pairs_peak_below_two_and_a_half_law_sizes(self, pairs):
+        # a pair within VALUE_SNAP sends a Gaussian law to the merge: its steps are compacted
+        # into the sort buffer, the masses are the one other law-sized array and the counts of
+        # a block with ties are kept as int16, where flags, step starts, gathers and masses of
+        # the whole law peaked at 5.1 law sizes
         rng = np.random.Generator(np.random.Philox(key=37))
         mags = np.cumsum(rng.uniform(1e-9, 1e-5, 2**20))[::-1]  # gaps far above VALUE_SNAP
-        mags[1001] = mags[1000] - 0.5 * VALUE_SNAP
+        mags[np.add(pairs, 1)] = mags[pairs] - 0.5 * VALUE_SNAP
         x = StepFunction1D(n=20, values=rng.permutation(mags) * rng.choice([-1.0, 1.0], 2**20))
         rearrangement(x)
         tracemalloc.start()
@@ -411,9 +414,10 @@ class TestSnapMerge:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * mags.nbytes
-        assert r.values.size == 2**20 - 1 and r.values[1000] == mags[1000]
-        assert r.masses[1000] == 2 * x.atom_measure
-        assert np.array_equal(np.delete(r.masses, 1000), np.full(2**20 - 2, x.atom_measure))
+        assert np.array_equal(r.values, np.delete(mags, np.add(pairs, 1)))
+        masses = np.full(2**20 - len(pairs), x.atom_measure)
+        masses[np.subtract(pairs, np.arange(len(pairs)))] *= 2
+        assert np.array_equal(r.masses, masses)
 
 
 class TestLogTailMeasure:
